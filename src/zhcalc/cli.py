@@ -24,7 +24,6 @@ from .diagram import Diagram
 from .encode import counting_state, encode_formula
 from .evaluate import evaluate
 from .formula import (
-    Formula,
     FormulaError,
     SatCompareInstance,
     count_sat,

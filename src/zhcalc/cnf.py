@@ -37,11 +37,10 @@ from zhcalc.formula import (
     Const,
     Formula,
     FormulaError,
-    Iff,
-    Implies,
     Not,
     Or,
     Var,
+    eliminate_arrows,
 )
 
 DEFAULT_MAX_CLAUSES = 4096
@@ -104,24 +103,6 @@ class CnfFormula:
         return Const(True) if conj is None else conj
 
 
-def _eliminate_arrows(phi: Formula) -> Formula:
-    match phi:
-        case Var(_) | Const(_):
-            return phi
-        case Not(child):
-            return Not(_eliminate_arrows(child))
-        case And(l, r):
-            return And(_eliminate_arrows(l), _eliminate_arrows(r))
-        case Or(l, r):
-            return Or(_eliminate_arrows(l), _eliminate_arrows(r))
-        case Implies(l, r):
-            return Or(Not(_eliminate_arrows(l)), _eliminate_arrows(r))
-        case Iff(l, r):
-            a, b = _eliminate_arrows(l), _eliminate_arrows(r)
-            return And(Or(Not(a), b), Or(a, Not(b)))
-    raise TypeError(f"not a formula: {phi!r}")
-
-
 def _nnf(phi: Formula, negate: bool) -> Formula:
     match phi:
         case Var(_):
@@ -141,21 +122,17 @@ def _nnf(phi: Formula, negate: bool) -> Formula:
     raise TypeError(f"unexpected node in NNF: {phi!r}")
 
 
-def to_cnf(
-    phi: Formula,
-    variables: tuple[str, ...] | list[str],
-    *,
-    max_clauses: int = DEFAULT_MAX_CLAUSES,
-) -> CnfFormula:
+def to_cnf(phi: Formula, variables: tuple[str, ...] | list[str]) -> CnfFormula:
     """Equivalent CNF over the same variable list; counts are preserved.
 
     No auxiliary variables are introduced; the clause set may grow
-    exponentially, guarded by max_clauses (SizeBlowup on overflow).
+    exponentially, guarded by DEFAULT_MAX_CLAUSES (SizeBlowup on
+    overflow).
     Tautological clauses are dropped and duplicate clauses merged.
     """
     names = tuple(variables)
     index = {name: i for i, name in enumerate(names)}
-    nnf = _nnf(_eliminate_arrows(phi), False)
+    nnf = _nnf(eliminate_arrows(phi), False)
 
     def clauses_of(node: Formula) -> list[frozenset[Literal]]:
         match node:
@@ -168,11 +145,11 @@ def to_cnf(
             case Not(Var(name)):
                 return [frozenset((Literal(index[name], False),))]
             case And(l, r):
-                return _capped(clauses_of(l) + clauses_of(r), max_clauses)
+                return _capped(clauses_of(l) + clauses_of(r))
             case Or(l, r):
                 left, right = clauses_of(l), clauses_of(r)
                 merged = [a | b for a in left for b in right]
-                return _capped(merged, max_clauses)
+                return _capped(merged)
         raise TypeError(f"unexpected node after NNF: {node!r}")
 
     out: list[Clause] = []
@@ -186,9 +163,11 @@ def to_cnf(
     return CnfFormula(names, tuple(out))
 
 
-def _capped(clauses: list[Clause], max_clauses: int) -> list[Clause]:
-    if len(clauses) > max_clauses:
-        raise SizeBlowup(f"{len(clauses)} clauses exceeds budget {max_clauses}")
+def _capped(clauses: list[Clause]) -> list[Clause]:
+    if len(clauses) > DEFAULT_MAX_CLAUSES:
+        raise SizeBlowup(
+            f"{len(clauses)} clauses exceeds budget {DEFAULT_MAX_CLAUSES}"
+        )
     return clauses
 
 

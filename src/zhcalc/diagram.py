@@ -14,7 +14,7 @@ show all of them at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
@@ -197,22 +197,22 @@ class Diagram:
             raise ValueError(f"diagram JSON is missing a required key: {exc}") from exc
         id_to_index: dict[int, int] = {}
         kinds: list[GeneratorKind] = []
-        for entry in sorted(raw_nodes, key=lambda e: e["id"]):
+        for entry in sorted(raw_nodes, key=lambda e: _int_field(e, "id")):
             node_id = entry["id"]
             if node_id in id_to_index:
                 raise ValueError(f"duplicate node id {node_id}")
             id_to_index[node_id] = len(kinds)
             try:
-                kinds.append(GeneratorKind(entry["kind"]))
+                kinds.append(GeneratorKind(entry.get("kind")))
             except ValueError as exc:
-                raise ValueError(f"unknown generator kind {entry['kind']!r}") from exc
+                raise ValueError(f"unknown generator kind {entry.get('kind')!r}") from exc
         in_map = _boundary_permutation(raw_inputs, "in")
         out_map = _boundary_permutation(raw_outputs, "out")
 
         degrees = [0] * len(kinds)
         edges = []
         for pair in raw_edges:
-            if len(pair) != 2:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValueError("each edge must have exactly two endpoints")
             eps = []
             for raw in pair:
@@ -231,13 +231,23 @@ def _endpoint_to_json(ep: Endpoint) -> dict:
     return {"boundary": ep.side, "pos": ep.pos}
 
 
+def _int_field(obj: object, key: str) -> int:
+    """The integer ``obj[key]`` of a JSON object, or ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {obj!r}")
+    value = obj.get(key)
+    if type(value) is not int:  # bool is an int subclass; reject it too
+        raise ValueError(f"{key!r} must be an integer in {obj}")
+    return value
+
+
 def _boundary_permutation(raw: list, side: str) -> dict[int, int]:
     """Map listed boundary positions to their logical order 0..len-1."""
     mapping: dict[int, int] = {}
     for logical, entry in enumerate(raw):
+        pos = _int_field(entry, "pos")
         if entry.get("boundary") != side:
             raise ValueError(f"{side} list holds a non-{side} endpoint: {entry}")
-        pos = entry["pos"]
         if pos in mapping:
             raise ValueError(f"{side} position {pos} listed twice")
         mapping[pos] = logical
@@ -252,16 +262,18 @@ def _endpoint_from_json(
     in_map: dict[int, int],
     out_map: dict[int, int],
 ) -> Endpoint:
+    if not isinstance(raw, dict):
+        raise ValueError(f"endpoint must be a JSON object, got {raw!r}")
     if "node" in raw:
-        node_id = raw["node"]
+        node_id = _int_field(raw, "node")
         if node_id not in id_to_index:
             raise ValueError(f"edge references unknown node id {node_id}")
-        return NodePort(node=id_to_index[node_id], port=raw["port"])
+        return NodePort(node=id_to_index[node_id], port=_int_field(raw, "port"))
     side = raw.get("boundary")
-    if side == "in":
-        return BoundaryPort(side="in", pos=in_map.get(raw["pos"], raw["pos"]))
-    if side == "out":
-        return BoundaryPort(side="out", pos=out_map.get(raw["pos"], raw["pos"]))
+    if side in ("in", "out"):
+        pos = _int_field(raw, "pos")
+        mapping = in_map if side == "in" else out_map
+        return BoundaryPort(side=side, pos=mapping.get(pos, pos))
     raise ValueError(f"malformed endpoint: {raw}")
 
 

@@ -5,7 +5,9 @@ generator-only realization (``gate_gadget``); the soundness tests pin the
 two together through the evaluator. ``encode_formula`` wires gadgets along
 the formula tree, fanning each variable out of one white spider, and
 ``counting_state`` closes the variable wires with |0>+|1> plugs so the
-single output wire carries the model count.
+single output wire carries the model count. ``counting_branch`` closes
+only some of them, and ``stars`` and ``two_root_two`` are the closed
+scalars the reductions normalize with.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .diagram import (
     basis_state,
     compose,
     generator,
+    identity,
     tensor,
     tensor_all,
 )
@@ -30,12 +33,11 @@ from .formula import (
     And,
     Const,
     Formula,
-    Iff,
-    Implies,
     Not,
     Or,
     UnassignedVariable,
     Var,
+    eliminate_arrows,
     formula_vars,
 )
 from .scalar import ONE
@@ -72,18 +74,17 @@ def gate_target(block: GateBlock) -> ExactMatrix:
     )
 
 
-def _inv_sqrt2() -> Diagram:
-    """A closed sub-diagram evaluating to exactly 1/sqrt(2).
+def stars(count: int) -> Diagram:
+    """``count`` star scalars, together worth 2**-count."""
+    return tensor_all([generator(GeneratorKind.STAR, 0, 0)] * count)
 
-    A white cup traced by a dark cap gives 2*sqrt(2); two stars bring
-    that down to sqrt(2)/2.
-    """
-    loop = compose(
+
+def two_root_two() -> Diagram:
+    """Closed loop evaluating to 2*sqrt(2): a dark cap tracing a white cup."""
+    return compose(
         generator(GeneratorKind.DARK_SPIDER, 2, 0),
         generator(GeneratorKind.WHITE_SPIDER, 0, 2),
     )
-    star = generator(GeneratorKind.STAR, 0, 0)
-    return tensor_all([star, star, loop])
 
 
 def gate_gadget(block: GateBlock) -> Diagram:
@@ -100,8 +101,9 @@ def gate_gadget(block: GateBlock) -> Diagram:
     if block is GateBlock.COPY:
         return generator(z, 1, 2)
     if block is GateBlock.NOT:
+        # Two stars bring the loop's 2*sqrt(2) down to 1/sqrt(2).
         flip = generator(GeneratorKind.DARK_NOT, 1, 1)
-        return tensor(flip, _inv_sqrt2())
+        return tensor(flip, tensor(stars(2), two_root_two()))
     if block is GateBlock.AND:
         h_small = generator(GeneratorKind.H_BOX, 1, 1)
         h_wide = generator(GeneratorKind.H_BOX, 2, 1)
@@ -111,27 +113,6 @@ def gate_gadget(block: GateBlock) -> Diagram:
         inner = compose(gate_gadget(GateBlock.AND), tensor(flip, flip))
         return compose(gate_gadget(GateBlock.NOT), inner)
     raise ValueError(f"unknown block {block}")
-
-
-def _desugar(phi: Formula) -> Formula:
-    """Rewrite arrows into and/or/not so only gadget-backed connectives
-    remain."""
-    match phi:
-        case Var() | Const():
-            return phi
-        case Not(child):
-            return Not(_desugar(child))
-        case And(left, right):
-            return And(_desugar(left), _desugar(right))
-        case Or(left, right):
-            return Or(_desugar(left), _desugar(right))
-        case Implies(left, right):
-            return Or(Not(_desugar(left)), _desugar(right))
-        case Iff(left, right):
-            a = _desugar(left)
-            b = _desugar(right)
-            return And(Or(Not(a), b), Or(a, Not(b)))
-    raise TypeError(f"not a formula: {phi!r}")
 
 
 def _count_occurrences(phi: Formula, counts: dict[str, int]) -> None:
@@ -219,7 +200,7 @@ def encode_formula(phi: Formula, variables: Sequence[str]) -> Diagram:
     missing = [v for v in formula_vars(phi) if v not in names]
     if missing:
         raise UnassignedVariable(f"{missing[0]} is not in the variable list")
-    lowered = _desugar(phi)
+    lowered = eliminate_arrows(phi)
     counts = {name: 0 for name in names}
     _count_occurrences(lowered, counts)
 
@@ -236,9 +217,17 @@ def encode_formula(phi: Formula, variables: Sequence[str]) -> Diagram:
     return builder.finish(inputs=boundary_legs, outputs=[out_leg])
 
 
+def counting_branch(
+    phi: Formula, opened: Sequence[str], summed: Sequence[str]
+) -> Diagram:
+    """Encode ``phi`` with the ``summed`` variables driven by BOTH
+    states, leaving the ``opened`` wires as inputs."""
+    enc = encode_formula(phi, list(opened) + list(summed))
+    plugs = tensor_all([gate_gadget(GateBlock.BOTH)] * len(summed))
+    return compose(enc, tensor(identity(len(opened)), plugs))
+
+
 def counting_state(phi: Formula, variables: Sequence[str]) -> Diagram:
     """The 0-input, 1-output diagram whose evaluation is
     count*|1> + (2^n - count)*|0> for the model count over ``variables``."""
-    both = gate_gadget(GateBlock.BOTH)
-    plugs = tensor_all([both] * len(list(variables)))
-    return compose(encode_formula(phi, variables), plugs)
+    return counting_branch(phi, (), variables)

@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from .diagram import (
     ArityMismatch,
-    BoundaryPort,
     Diagram,
     GeneratorKind,
     NodePort,
@@ -33,7 +32,7 @@ DEFAULT_MAX_BOUNDARY = 22
 
 
 class TooLarge(ValueError):
-    """The diagram has more boundary wires than the configured bound."""
+    """The diagram has more boundary wires than DEFAULT_MAX_BOUNDARY."""
 
 
 class InvalidDiagram(ValueError):
@@ -323,12 +322,7 @@ def _join(f1: _Factor, f2: _Factor, summed: set[int]) -> _Factor:
     return _Factor(wires=wires, table=table)
 
 
-def evaluate(
-    d: Diagram,
-    *,
-    order: str = "greedy",
-    max_boundary: int = DEFAULT_MAX_BOUNDARY,
-) -> ExactMatrix:
+def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
     """The exact matrix denoted by ``d``.
 
     ``order`` picks the contraction schedule: "greedy" sums the wire
@@ -340,9 +334,10 @@ def evaluate(
     problems = d.validate()
     if problems:
         raise InvalidDiagram("; ".join(str(p) for p in problems))
-    if d.n_in + d.n_out > max_boundary:
+    if d.n_in + d.n_out > DEFAULT_MAX_BOUNDARY:
         raise TooLarge(
-            f"{d.n_in + d.n_out} boundary wires exceed the bound of {max_boundary}"
+            f"{d.n_in + d.n_out} boundary wires exceed the bound of "
+            f"{DEFAULT_MAX_BOUNDARY}"
         )
 
     node_slots: list[list[int]] = [[-1] * node.degree for node in d.nodes]
@@ -448,12 +443,7 @@ def evaluate(
 
 
 def apply_basis(
-    d: Diagram,
-    v: Union[BasisState, Sequence[int]],
-    side: str,
-    *,
-    order: str = "greedy",
-    max_boundary: int = DEFAULT_MAX_BOUNDARY,
+    d: Diagram, v: Union[BasisState, Sequence[int]], side: str
 ) -> ExactMatrix:
     """Plug |v> into the inputs (side="in") or <v| onto the outputs
     (side="out") and evaluate.
@@ -475,4 +465,4 @@ def apply_basis(
         plugged = compose(plug, d)
     else:
         raise ValueError(f"side must be 'in' or 'out', not {side!r}")
-    return evaluate(plugged, order=order, max_boundary=max_boundary)
+    return evaluate(plugged)

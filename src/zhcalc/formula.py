@@ -181,6 +181,25 @@ def _fold_not(phi: Formula) -> Formula:
     return Not(phi)
 
 
+def eliminate_arrows(phi: Formula) -> Formula:
+    """Rewrite -> and <-> into and/or/not; the value is unchanged."""
+    match phi:
+        case Var() | Const():
+            return phi
+        case Not(child):
+            return Not(eliminate_arrows(child))
+        case And(left, right):
+            return And(eliminate_arrows(left), eliminate_arrows(right))
+        case Or(left, right):
+            return Or(eliminate_arrows(left), eliminate_arrows(right))
+        case Implies(left, right):
+            return Or(Not(eliminate_arrows(left)), eliminate_arrows(right))
+        case Iff(left, right):
+            a, b = eliminate_arrows(left), eliminate_arrows(right)
+            return And(Or(Not(a), b), Or(a, Not(b)))
+    raise TypeError(f"not a formula: {phi!r}")
+
+
 def rename_vars(phi: Formula, mapping: dict[str, str]) -> Formula:
     match phi:
         case Var(name):
@@ -207,21 +226,23 @@ def assignments(variables: tuple[str, ...] | list[str]) -> Iterator[Valuation]:
         yield dict(zip(names, bits))
 
 
-def count_sat(
-    phi: Formula,
-    variables: tuple[str, ...] | list[str],
-    *,
-    max_vars: int = DEFAULT_MAX_VARS,
-) -> int:
+def _bounded(variables: tuple[str, ...] | list[str]) -> list[str]:
+    names = list(variables)
+    if len(names) > DEFAULT_MAX_VARS:
+        raise TooManyVariables(
+            f"{len(names)} variables exceeds bound {DEFAULT_MAX_VARS}"
+        )
+    return names
+
+
+def count_sat(phi: Formula, variables: tuple[str, ...] | list[str]) -> int:
     """Number of assignments of `variables` satisfying phi, by enumeration.
 
     `variables` must cover every variable occurring in phi and may
     contain extra names; each unused name doubles the count of an
     otherwise satisfiable formula.
     """
-    names = list(variables)
-    if len(names) > max_vars:
-        raise TooManyVariables(f"{len(names)} variables exceeds bound {max_vars}")
+    names = _bounded(variables)
     missing = set(formula_vars(phi)) - set(names)
     if missing:
         raise UnassignedVariable(", ".join(sorted(missing)))
@@ -229,15 +250,10 @@ def count_sat(
 
 
 def satisfying_assignments(
-    phi: Formula,
-    variables: tuple[str, ...] | list[str],
-    *,
-    max_vars: int = DEFAULT_MAX_VARS,
+    phi: Formula, variables: tuple[str, ...] | list[str]
 ) -> list[str]:
     """Satisfying assignments as bitstrings in variable-list order."""
-    names = list(variables)
-    if len(names) > max_vars:
-        raise TooManyVariables(f"{len(names)} variables exceeds bound {max_vars}")
+    names = _bounded(variables)
     out = []
     for v in assignments(names):
         if eval_formula(phi, v):
@@ -395,13 +411,9 @@ class CompareInstance:
             raise ValueError("variable lists must have equal length")
 
 
-def compare_sharp_sat(
-    inst: CompareInstance, *, max_vars: int = DEFAULT_MAX_VARS
-) -> bool:
+def compare_sharp_sat(inst: CompareInstance) -> bool:
     """Whether both formulae have the same number of satisfying assignments."""
-    return count_sat(inst.phi, inst.x_vars, max_vars=max_vars) == count_sat(
-        inst.psi, inst.y_vars, max_vars=max_vars
-    )
+    return count_sat(inst.phi, inst.x_vars) == count_sat(inst.psi, inst.y_vars)
 
 
 @dataclass(frozen=True)
@@ -449,9 +461,11 @@ class SatCompareInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SatCompareInstance":
-        return cls(
-            n=int(obj["n"]),
-            m=int(obj["m"]),
-            psi=parse_formula(obj["psi"]),
-            rho=parse_formula(obj["rho"]),
-        )
+        if not isinstance(obj, dict):
+            raise ValueError(f"instance JSON must be an object, not {obj!r}")
+        n, m, psi, rho = (obj.get(key) for key in ("n", "m", "psi", "rho"))
+        if type(n) is not int or type(m) is not int:
+            raise ValueError(f"n and m must be integers, not {n!r} and {m!r}")
+        if not isinstance(psi, str) or not isinstance(rho, str):
+            raise ValueError(f"psi and rho must be strings, not {psi!r} and {rho!r}")
+        return cls(n=n, m=m, psi=parse_formula(psi), rho=parse_formula(rho))

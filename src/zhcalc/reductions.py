@@ -32,7 +32,14 @@ from .diagram import (
     tensor,
     tensor_all,
 )
-from .encode import GateBlock, counting_state, encode_formula, gate_gadget
+from .encode import (
+    GateBlock,
+    counting_branch,
+    counting_state,
+    gate_gadget,
+    stars,
+    two_root_two,
+)
 from .evaluate import apply_basis
 from .formula import (
     And,
@@ -98,11 +105,7 @@ class DyadicK:
     def make(cls, c: int, d: int) -> "DyadicK":
         if d < 0:
             raise ValueError("exponent must be non-negative")
-        if c == 0:
-            return cls(c=0, d=0)
-        while d > 0 and c % 2 == 0:
-            c //= 2
-            d -= 1
+        c, d = ExactScalar(c, 0, d).as_dyadic()
         return cls(c=c, d=d)
 
     @property
@@ -123,18 +126,6 @@ class DyadicK:
 
 
 # -- shared pieces ----------------------------------------------------------
-
-
-def _stars(count: int) -> Diagram:
-    return tensor_all([generator(GeneratorKind.STAR, 0, 0)] * count)
-
-
-def _two_root_two() -> Diagram:
-    """Closed loop evaluating to 2*sqrt(2): a dark cap tracing a white cup."""
-    return compose(
-        generator(GeneratorKind.DARK_SPIDER, 2, 0),
-        generator(GeneratorKind.WHITE_SPIDER, 0, 2),
-    )
 
 
 def _minus_one() -> Diagram:
@@ -179,16 +170,6 @@ def _copy_layer(n: int) -> Diagram:
     return builder.finish(inputs=ins, outputs=first + second)
 
 
-def _counting_branch(
-    phi: Formula, opened: Sequence[str], summed: Sequence[str]
-) -> Diagram:
-    """Encode ``phi`` with the ``summed`` variables driven by BOTH
-    states, leaving the ``opened`` wires as inputs."""
-    enc = encode_formula(phi, list(opened) + list(summed))
-    plugs = tensor_all([gate_gadget(GateBlock.BOTH)] * len(list(summed)))
-    return compose(enc, tensor(identity(len(list(opened))), plugs))
-
-
 def _conjunction(names: Sequence[str]) -> Formula:
     return reduce(And, (Var(name) for name in names))
 
@@ -205,8 +186,8 @@ def build_state_eq(inst: SatCompareInstance) -> StateEqInstance:
     formula output is collapsed through an IS_TRUE effect.
     """
     is_true = gate_gadget(GateBlock.IS_TRUE)
-    d1 = compose(is_true, _counting_branch(inst.psi, inst.x_vars, inst.y_vars))
-    d2 = compose(is_true, _counting_branch(inst.rho, inst.x_vars, inst.z_vars))
+    d1 = compose(is_true, counting_branch(inst.psi, inst.x_vars, inst.y_vars))
+    d2 = compose(is_true, counting_branch(inst.rho, inst.x_vars, inst.z_vars))
     return StateEqInstance(d1=d1, d2=d2)
 
 
@@ -227,7 +208,7 @@ def dyadic_scalar(k: DyadicK) -> Diagram:
     )
     parts = [counted]
     if k.d:
-        parts.append(_stars(k.d))
+        parts.append(stars(k.d))
     if k.c < 0:
         parts.append(_minus_one())
     return tensor_all(parts)
@@ -256,11 +237,11 @@ def build_contains_entry(inst: SatCompareInstance, k: DyadicK) -> Diagram:
         rho_prime = Or(rho_prime, _conjunction(zs))
 
     pair = tensor(
-        _counting_branch(psi_prime, inst.x_vars, ys),
-        _counting_branch(rho_prime, inst.x_vars, zs),
+        counting_branch(psi_prime, inst.x_vars, ys),
+        counting_branch(rho_prime, inst.x_vars, zs),
     )
     effect = tensor_all(
-        [_antisymmetric_cap(), _two_root_two(), _stars(inst.m + 3)]
+        [_antisymmetric_cap(), two_root_two(), stars(inst.m + 3)]
     )
     built = compose(effect, compose(pair, _copy_layer(inst.n)))
     if k.c != 0 and (k.c, k.d) != (1, 0):

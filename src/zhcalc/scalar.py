@@ -115,10 +115,6 @@ class ExactScalar:
     def from_json(cls, obj: dict) -> ExactScalar:
         return cls(int(obj["a"]), int(obj["b"]), int(obj["e"]))
 
-    @classmethod
-    def from_int(cls, n: int) -> ExactScalar:
-        return cls(n, 0, 0)
-
     def __str__(self) -> str:
         return f"({self.a} + {self.b}*sqrt2)/2^{self.e}"
 

@@ -12,7 +12,7 @@ from itertools import product
 from typing import Optional
 
 from .diagram import ArityMismatch, Diagram
-from .evaluate import BasisState, ExactMatrix, apply_basis, evaluate
+from .evaluate import BasisState, apply_basis, evaluate
 from .formula import (
     SatCompareInstance,
     TooManyVariables,
@@ -39,31 +39,34 @@ def _states(width: int):
         yield BasisState(bits=bits)
 
 
-def scalar_diagram(d: Diagram, *, order: str = "greedy") -> ExactScalar:
+def _guard(wires: int, d1: Diagram, d2: Optional[Diagram] = None) -> None:
+    """Raise ArityMismatch if the two diagrams' boundaries differ, then
+    TooManyWires if the ``wires`` to enumerate exceed DEFAULT_MAX_ENUM."""
+    if d2 is not None and (d1.n_in, d1.n_out) != (d2.n_in, d2.n_out):
+        raise ArityMismatch(
+            f"boundaries differ: {d1.n_in}->{d1.n_out} vs {d2.n_in}->{d2.n_out}"
+        )
+    if wires > DEFAULT_MAX_ENUM:
+        raise TooManyWires(
+            f"enumerating {wires} wires exceeds the bound {DEFAULT_MAX_ENUM}"
+        )
+
+
+def scalar_diagram(d: Diagram) -> ExactScalar:
     """The number a closed diagram evaluates to."""
     if d.n_in or d.n_out:
         raise NotScalar(f"diagram has boundary {d.n_in}->{d.n_out}")
-    return evaluate(d, order=order).entry("", "")
+    return evaluate(d).entry("", "")
 
 
-def solve_state_eq(
-    d1: Diagram,
-    d2: Diagram,
-    *,
-    max_wires: int = DEFAULT_MAX_ENUM,
-) -> Optional[BasisState]:
+def solve_state_eq(d1: Diagram, d2: Diagram) -> Optional[BasisState]:
     """The first basis input on which the two diagrams produce the same
     residual state, or None if they never do.
 
     With outputs present the comparison is entrywise over the whole
     residual vector, not a single scalar.
     """
-    if (d1.n_in, d1.n_out) != (d2.n_in, d2.n_out):
-        raise ArityMismatch(
-            f"boundaries differ: {d1.n_in}->{d1.n_out} vs {d2.n_in}->{d2.n_out}"
-        )
-    if d1.n_in > max_wires:
-        raise TooManyWires(f"{d1.n_in} input wires exceeds the bound {max_wires}")
+    _guard(d1.n_in, d1, d2)
     for state in _states(d1.n_in):
         if apply_basis(d1, state, "in") == apply_basis(d2, state, "in"):
             return state
@@ -71,10 +74,7 @@ def solve_state_eq(
 
 
 def solve_contains_entry(
-    d: Diagram,
-    k: ExactScalar,
-    *,
-    max_wires: int = DEFAULT_MAX_ENUM,
+    d: Diagram, k: ExactScalar
 ) -> Optional[tuple[BasisState, BasisState]]:
     """The first (row, col) position whose entry equals k exactly.
 
@@ -82,10 +82,7 @@ def solve_contains_entry(
     Entries the sparse evaluation drops are genuine zeros and are
     compared as such, so k = 0 can be found in an empty matrix.
     """
-    if d.n_in + d.n_out > max_wires:
-        raise TooManyWires(
-            f"{d.n_in + d.n_out} boundary wires exceeds the bound {max_wires}"
-        )
+    _guard(d.n_in + d.n_out, d)
     for row in _states(d.n_out):
         residual = apply_basis(d, row, "out")
         for col in _states(d.n_in):
@@ -94,30 +91,15 @@ def solve_contains_entry(
     return None
 
 
-def compare_diagrams(
-    d1: Diagram,
-    d2: Diagram,
-    *,
-    max_wires: int = DEFAULT_MAX_ENUM,
-) -> bool:
+def compare_diagrams(d1: Diagram, d2: Diagram) -> bool:
     """Exact entrywise equality of the two evaluations."""
-    if (d1.n_in, d1.n_out) != (d2.n_in, d2.n_out):
-        raise ArityMismatch(
-            f"boundaries differ: {d1.n_in}->{d1.n_out} vs {d2.n_in}->{d2.n_out}"
-        )
-    if d1.n_in + d1.n_out > max_wires:
-        raise TooManyWires(
-            f"{d1.n_in + d1.n_out} boundary wires exceeds the bound {max_wires}"
-        )
+    _guard(d1.n_in + d1.n_out, d1, d2)
     return evaluate(d1) == evaluate(d2)
 
 
-def is_zero(d: Diagram, *, max_wires: int = DEFAULT_MAX_ENUM) -> bool:
+def is_zero(d: Diagram) -> bool:
     """Whether the diagram evaluates to the all-zero matrix."""
-    if d.n_in + d.n_out > max_wires:
-        raise TooManyWires(
-            f"{d.n_in + d.n_out} boundary wires exceeds the bound {max_wires}"
-        )
+    _guard(d.n_in + d.n_out, d)
     return evaluate(d).is_zero
 
 

@@ -239,13 +239,12 @@ def test_09_lemma_suites() -> None:
     # (zhcalc.cnf docstring). Equality holds only for m <= n: when
     # m > n every clause is widened by the k - n fresh variables, so
     # every assignment that sets one of them true is an extra model.
+    # Clauseless CNFs are included: encode01 rejects only n = m = 0.
     codec_bad = 0
     codec_total = 0
     example = None
     for n in range(1, 4):
         for cnf in all_cnfs(n, 3):
-            if not cnf.clauses:
-                continue  # the codec rejects clauseless formulae
             codec_total += 1
             m = cnf.m
             k = max(m, n)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +202,40 @@ class TestErrors:
     def test_bad_formula_text(self, capsys) -> None:
         assert main(["encode", "x1 &", "--vars", "x1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["eval"], ["solve", "is-zero"]])
+    @pytest.mark.parametrize(
+        "endpoint",
+        [
+            {"node": 1, "port": "a"},
+            {"node": 1, "port": False},
+            {"node": [1], "port": 0},
+            {"boundary": "out", "pos": 0.5},
+            7,
+        ],
+    )
+    def test_malformed_diagram(self, tmp_path, capsys, command, endpoint) -> None:
+        document = gate_gadget(GateBlock.TRUE).to_json()
+        document["edges"][0][0] = endpoint
+        path = write_json(tmp_path / "bad.json", document)
+        assert main(command + [path]) == 2
+        self._assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", [["reduce", "state-eq"], ["verify"]])
+    @pytest.mark.parametrize(
+        "patch", [{"n": None}, {"m": "2"}, {"n": True}, {"psi": 5}, {"rho": None}]
+    )
+    def test_malformed_instance(self, tmp_path, capsys, command, patch) -> None:
+        document = json.loads(Path(worked_instance_file(tmp_path)).read_text())
+        path = write_json(tmp_path / "bad.json", document | patch)
+        assert main(command + [path]) == 2
+        self._assert_one_error_line(capsys)
+
+    @staticmethod
+    def _assert_one_error_line(capsys) -> None:
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "Traceback" not in err[0]
 
     def test_usage_error_exits_two(self) -> None:
         with pytest.raises(SystemExit) as info:

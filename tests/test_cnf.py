@@ -19,7 +19,7 @@ from zhcalc.cnf import (
     to_cnf,
     to_dimacs,
 )
-from zhcalc.corpus import random_formula
+from zhcalc.corpus import random_cnf, random_formula
 from zhcalc.formula import (
     And,
     Const,
@@ -82,19 +82,19 @@ class TestToCnf:
         for _ in range(120):
             names = ("x1", "x2", "x3", "x4")
             phi = random_formula(rng, names, max_depth=4)
-            cnf = to_cnf(phi, names, max_clauses=4096)
+            cnf = to_cnf(phi, names)
             assert count_sat(phi, names) == count_sat(cnf.to_formula(), names)
 
     def test_blowup_guard(self) -> None:
-        names = tuple(f"x{i}" for i in range(1, 13))
-        # DNF with 6 conjunctive terms of 2 fresh vars each distributes
-        # to 2^6 = 64 clauses; a cap of 10 must trip.
-        terms = [And(Var(names[2 * i]), Var(names[2 * i + 1])) for i in range(6)]
+        names = tuple(f"x{i}" for i in range(1, 27))
+        # DNF with 13 conjunctive terms of 2 fresh vars each distributes
+        # to 2^13 = 8192 clauses; DEFAULT_MAX_CLAUSES = 4096 must trip.
+        terms = [And(Var(names[2 * i]), Var(names[2 * i + 1])) for i in range(13)]
         phi = terms[0]
         for t in terms[1:]:
             phi = Or(phi, t)
         with pytest.raises(SizeBlowup):
-            to_cnf(phi, names, max_clauses=10)
+            to_cnf(phi, names)
 
     def test_constant_formulae(self) -> None:
         assert to_cnf(Const(True), ("x1",)).clauses == ()
@@ -154,7 +154,7 @@ class TestCodec:
         for _ in range(200):
             n = rng.randint(1, 4)
             m = rng.randint(0, n)
-            cnf = _random_cnf(rng, n, m)
+            cnf = random_cnf(rng, n, m)
             original = count_sat(cnf.to_formula(), cnf.variables)
             back = decode01(encode01(cnf))
             assert count_sat(back.to_formula(), back.variables) == original
@@ -181,7 +181,7 @@ class TestCodec:
         for _ in range(60):
             n = rng.randint(1, 4)
             m = rng.randint(0, 4)
-            cnf = _random_cnf(rng, n, m)
+            cnf = random_cnf(rng, n, m)
             once = decode01(encode01(cnf))
             twice = decode01(encode01(once))
             assert once == twice
@@ -198,7 +198,7 @@ class TestDimacs:
     def test_roundtrip(self) -> None:
         rng = random.Random(5150)
         for _ in range(80):
-            cnf = _random_cnf(rng, rng.randint(1, 5), rng.randint(0, 5))
+            cnf = random_cnf(rng, rng.randint(1, 5), rng.randint(0, 5))
             assert from_dimacs(to_dimacs(cnf)) == cnf
 
     def test_parses_comments_and_whitespace(self) -> None:
@@ -215,14 +215,3 @@ class TestDimacs:
         with pytest.raises(ValueError):
             from_dimacs("p cnf 1 1\n2 0\n")
 
-
-def _random_cnf(rng: random.Random, n: int, m: int) -> CnfFormula:
-    names = tuple(f"x{i}" for i in range(1, n + 1))
-    clauses = []
-    for _ in range(m):
-        width = rng.randint(1, n)
-        indices = rng.sample(range(n), width)
-        clauses.append(
-            frozenset(Literal(index=i, positive=rng.random() < 0.5) for i in indices)
-        )
-    return CnfFormula(variables=names, clauses=tuple(clauses))

@@ -303,11 +303,10 @@ class TestEvaluate:
             evaluate(broken)
 
     def test_rejects_large_boundaries(self) -> None:
+        # DEFAULT_MAX_BOUNDARY is 22: 22 wires evaluate, 23 do not.
+        assert evaluate(identity(11)) == identity_matrix(11)
         with pytest.raises(TooLarge):
-            evaluate(identity(12))
-        assert evaluate(identity(2), max_boundary=4) == identity_matrix(2)
-        with pytest.raises(TooLarge):
-            evaluate(identity(3), max_boundary=4)
+            evaluate(generator(Z, 11, 12))
 
     def test_rejects_unknown_order(self) -> None:
         with pytest.raises(ValueError):
