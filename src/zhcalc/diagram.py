@@ -218,6 +218,8 @@ class Diagram:
             for raw in pair:
                 ep = _endpoint_from_json(raw, id_to_index, in_map, out_map)
                 if isinstance(ep, NodePort):
+                    if not 0 <= ep.port < 2 * len(raw_edges):
+                        raise ValueError(f"port {ep.port} outside 0..{2 * len(raw_edges) - 1}")
                     degrees[ep.node] = max(degrees[ep.node], ep.port + 1)
                 eps.append(ep)
             edges.append((eps[0], eps[1]))

@@ -32,7 +32,8 @@ DEFAULT_MAX_BOUNDARY = 22
 
 
 class TooLarge(ValueError):
-    """The diagram has more boundary wires than DEFAULT_MAX_BOUNDARY."""
+    """More than DEFAULT_MAX_BOUNDARY boundary wires, or more than that many
+    legs on an H box or dark generator, whose support is enumerated."""
 
 
 class InvalidDiagram(ValueError):
@@ -277,23 +278,11 @@ def _node_factor(
     return _Factor(wires=tuple(distinct), table=table)
 
 
-def _project_sum(factor: _Factor, summed: set[int]) -> _Factor:
-    keep = [i for i, w in enumerate(factor.wires) if w not in summed]
-    wires = tuple(factor.wires[i] for i in keep)
-    table: dict[tuple[int, ...], ExactScalar] = {}
-    for key, value in factor.table.items():
-        new_key = tuple(key[i] for i in keep)
-        total = table.get(new_key, ZERO) + value
-        if total.is_zero:
-            table.pop(new_key, None)
-        else:
-            table[new_key] = total
-    return _Factor(wires=wires, table=table)
-
-
 def _join(f1: _Factor, f2: _Factor, summed: set[int]) -> _Factor:
     """Combine two factors, aligning on shared wires and summing out
-    ``summed`` (which must be a subset of the shared wires)."""
+    ``summed``, which no third factor may hold. The engine's one kernel:
+    joined with the unit factor (no wires, table {(): 1}) a lone factor
+    sums out its self-loops."""
     shared = [w for w in f1.wires if w in set(f2.wires)]
     keep1 = [i for i, w in enumerate(f1.wires) if w not in summed]
     keep2 = [
@@ -339,6 +328,13 @@ def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
             f"{d.n_in + d.n_out} boundary wires exceed the bound of "
             f"{DEFAULT_MAX_BOUNDARY}"
         )
+    enumerated = (GeneratorKind.H_BOX, GeneratorKind.DARK_SPIDER, GeneratorKind.DARK_NOT)
+    for nid, node in enumerate(d.nodes):
+        if node.kind in enumerated and node.degree > DEFAULT_MAX_BOUNDARY:
+            raise TooLarge(
+                f"node {nid} ({node.kind.value}) has {node.degree} legs, over the "
+                f"bound of {DEFAULT_MAX_BOUNDARY}"
+            )
 
     node_slots: list[list[int]] = [[-1] * node.degree for node in d.nodes]
     in_wire = [-1] * d.n_in
@@ -382,16 +378,15 @@ def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
 
     def contract(wire: int) -> None:
         owner_ids = sorted(holders[wire])
+        f1 = factors[owner_ids[0]]
         if len(owner_ids) == 1:
-            factor = factors[owner_ids[0]]
-            summed = {w for w in factor.wires if w not in open_wires and len(holders[w]) == 1}
-            merged = _project_sum(factor, summed)
+            f2 = _Factor(wires=(), table={(): ONE})
+            summed = {w for w in f1.wires if w not in open_wires and len(holders[w]) == 1}
         else:
-            f1, f2 = factors[owner_ids[0]], factors[owner_ids[1]]
+            f2 = factors[owner_ids[1]]
             summed = {w for w in f1.wires if w in set(f2.wires)}
-            merged = _join(f1, f2, summed)
         done.update(summed)
-        install(merged, owner_ids)
+        install(_join(f1, f2, summed), owner_ids)
 
     if order == "sequential":
         for wire in closed:

@@ -430,6 +430,8 @@ class SatCompareInstance:
     rho: Formula
 
     def __post_init__(self) -> None:
+        if self.n < 0 or self.m < 0:
+            raise ValueError(f"n and m must be non-negative, not {self.n} and {self.m}")
         allowed_psi = set(self.x_vars) | set(self.y_vars)
         allowed_rho = set(self.x_vars) | set(self.z_vars)
         bad_psi = set(formula_vars(self.psi)) - allowed_psi

@@ -1,9 +1,10 @@
 """Brute-force decision procedures over diagrams and instances.
 
-These are the reference answers everything else is checked against:
-enumerate basis states in lexicographic order (0 before 1), evaluate
-exactly, and return the first witness.  Nothing here is clever, which
-is the point.
+These are the reference answers everything else is checked against.
+Each diagram solver evaluates every diagram argument once into its
+exact matrix, then scans basis positions in lexicographic order (rows
+outermost, 0 before 1) and returns the first witness.  Nothing here
+is clever, which is the point.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from itertools import product
 from typing import Optional
 
 from .diagram import ArityMismatch, Diagram
-from .evaluate import BasisState, apply_basis, evaluate
+from .evaluate import BasisState, evaluate
 from .formula import (
     SatCompareInstance,
     TooManyVariables,
@@ -39,16 +40,16 @@ def _states(width: int):
         yield BasisState(bits=bits)
 
 
-def _guard(wires: int, d1: Diagram, d2: Optional[Diagram] = None) -> None:
+def _guard(d1: Diagram, d2: Optional[Diagram] = None) -> None:
     """Raise ArityMismatch if the two diagrams' boundaries differ, then
-    TooManyWires if the ``wires`` to enumerate exceed DEFAULT_MAX_ENUM."""
+    TooManyWires if inputs plus outputs exceed DEFAULT_MAX_ENUM."""
     if d2 is not None and (d1.n_in, d1.n_out) != (d2.n_in, d2.n_out):
         raise ArityMismatch(
             f"boundaries differ: {d1.n_in}->{d1.n_out} vs {d2.n_in}->{d2.n_out}"
         )
-    if wires > DEFAULT_MAX_ENUM:
+    if d1.n_in + d1.n_out > DEFAULT_MAX_ENUM:
         raise TooManyWires(
-            f"enumerating {wires} wires exceeds the bound {DEFAULT_MAX_ENUM}"
+            f"enumerating {d1.n_in + d1.n_out} wires exceeds the bound {DEFAULT_MAX_ENUM}"
         )
 
 
@@ -64,11 +65,14 @@ def solve_state_eq(d1: Diagram, d2: Diagram) -> Optional[BasisState]:
     residual state, or None if they never do.
 
     With outputs present the comparison is entrywise over the whole
-    residual vector, not a single scalar.
+    residual vector: column v of both matrices, every row.
     """
-    _guard(d1.n_in, d1, d2)
+    _guard(d1, d2)
+    m1, m2 = evaluate(d1), evaluate(d2)
+    rows = [str(row) for row in _states(d1.n_out)]
     for state in _states(d1.n_in):
-        if apply_basis(d1, state, "in") == apply_basis(d2, state, "in"):
+        col = str(state)
+        if all(m1.entry(row, col) == m2.entry(row, col) for row in rows):
             return state
     return None
 
@@ -82,24 +86,24 @@ def solve_contains_entry(
     Entries the sparse evaluation drops are genuine zeros and are
     compared as such, so k = 0 can be found in an empty matrix.
     """
-    _guard(d.n_in + d.n_out, d)
+    _guard(d)
+    matrix = evaluate(d)
     for row in _states(d.n_out):
-        residual = apply_basis(d, row, "out")
         for col in _states(d.n_in):
-            if residual.entry("", str(col)) == k:
+            if matrix.entry(str(row), str(col)) == k:
                 return row, col
     return None
 
 
 def compare_diagrams(d1: Diagram, d2: Diagram) -> bool:
     """Exact entrywise equality of the two evaluations."""
-    _guard(d1.n_in + d1.n_out, d1, d2)
+    _guard(d1, d2)
     return evaluate(d1) == evaluate(d2)
 
 
 def is_zero(d: Diagram) -> bool:
     """Whether the diagram evaluates to the all-zero matrix."""
-    _guard(d.n_in + d.n_out, d)
+    _guard(d)
     return evaluate(d).is_zero
 
 

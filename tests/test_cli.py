@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zhcalc.cli import _parse_k, main
 from zhcalc.diagram import Diagram, compose, generator, GeneratorKind, tensor
@@ -212,6 +218,7 @@ class TestErrors:
             {"node": [1], "port": 0},
             {"boundary": "out", "pos": 0.5},
             7,
+            {"node": 1, "port": 200000},
         ],
     )
     def test_malformed_diagram(self, tmp_path, capsys, command, endpoint) -> None:
@@ -223,7 +230,15 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", [["reduce", "state-eq"], ["verify"]])
     @pytest.mark.parametrize(
-        "patch", [{"n": None}, {"m": "2"}, {"n": True}, {"psi": 5}, {"rho": None}]
+        "patch",
+        [
+            {"n": None},
+            {"m": "2"},
+            {"n": True},
+            {"psi": 5},
+            {"rho": None},
+            {"n": -1, "psi": "y1", "rho": "z1"},
+        ],
     )
     def test_malformed_instance(self, tmp_path, capsys, command, patch) -> None:
         document = json.loads(Path(worked_instance_file(tmp_path)).read_text())
@@ -236,8 +251,88 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "Traceback" not in err[0]
+        assert len(err[0]) < 200
+
+    @pytest.mark.parametrize("command", [["eval"], ["solve", "is-zero"]])
+    def test_wide_h_box_is_refused_quickly(self, tmp_path, capsys, command) -> None:
+        # One H box with 15 self-loops: 2^30 leg patterns if enumerated.
+        loops = [[{"node": 0, "port": 2 * i}, {"node": 0, "port": 2 * i + 1}] for i in range(15)]
+        document = {"nodes": [{"id": 0, "kind": "H"}], "edges": loops, "inputs": [], "outputs": []}
+        path = write_json(tmp_path / "wide.json", document)
+        start = time.perf_counter()
+        assert main(command + [path]) == 2
+        assert time.perf_counter() - start < 1.0
+        self._assert_one_error_line(capsys)
 
     def test_usage_error_exits_two(self) -> None:
         with pytest.raises(SystemExit) as info:
             main(["no-such-command"])
         assert info.value.code == 2
+
+
+# -- fuzzing the diagram readers ---------------------------------------------
+
+_KINDS = [kind.value for kind in GeneratorKind]
+_values = st.one_of(
+    st.integers(-2, 5),
+    st.sampled_from(_KINDS + ["in", "out", 10**9]),
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 5), max_size=2),
+)
+_small = st.integers(0, 3)
+_endpoint = st.fixed_dictionaries({"node": _small, "port": _small}) | st.fixed_dictionaries(
+    {"boundary": st.sampled_from(["in", "out"]), "pos": st.integers(0, 1)}
+)
+_well_typed = st.fixed_dictionaries(
+    {
+        "nodes": st.lists(
+            st.fixed_dictionaries({"id": _small, "kind": st.sampled_from(_KINDS)}), max_size=3
+        ),
+        "edges": st.lists(st.lists(_endpoint, min_size=2, max_size=2), max_size=4),
+        "inputs": st.lists(_endpoint, max_size=2),
+        "outputs": st.lists(_endpoint, max_size=2),
+    }
+)
+
+
+def _slots(tree) -> list:
+    """Every (container, key) pair in a JSON tree."""
+    if isinstance(tree, dict):
+        items = tree.items()
+    elif isinstance(tree, list):
+        items = enumerate(tree)
+    else:
+        return []
+    return [slot for key, child in items for slot in [(tree, key), *_slots(child)]]
+
+
+@st.composite
+def _diagram_documents(draw):
+    """A document with the schema's keys and types, then up to two of its
+    parts dropped or swapped for a value of any type."""
+    root = [draw(_well_typed)]
+    for _ in range(draw(st.integers(0, 2))):
+        parent, key = draw(st.sampled_from(_slots(root)))
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(_values)
+    return root[0]
+
+
+@given(document=_diagram_documents())
+@settings(max_examples=200)
+def test_diagram_readers_fail_cleanly(document) -> None:
+    with tempfile.TemporaryDirectory() as folder:
+        path = write_json(Path(folder) / "fuzz.json", document)
+        for command in (["eval"], ["solve", "is-zero"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(command + [path])
+            assert code in (0, 1, 2)
+            if code == 2:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), lines

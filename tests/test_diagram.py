@@ -271,6 +271,8 @@ class TestJson:
             lambda d: d["nodes"].append({"id": 9, "kind": "Quux"}),
             lambda d: d["edges"].append([{"node": 42, "port": 0}]),
             lambda d: d["inputs"].append({"boundary": "out", "pos": 0}),
+            # One edge has two ends, so no valid port exceeds 1.
+            lambda d: d["edges"][0][0].update(port=200000),
         ):
             data = json.loads(json.dumps(good))
             mutate(data)

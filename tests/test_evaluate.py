@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -52,6 +53,15 @@ ZNOT = GeneratorKind.WHITE_NOT
 XNOT = GeneratorKind.DARK_NOT
 H = GeneratorKind.H_BOX
 STAR = GeneratorKind.STAR
+
+
+def self_looped(kind: GeneratorKind, loops: int) -> Diagram:
+    """One closed node of degree 2*loops, port 2i wired to port 2i+1."""
+    edges = tuple(
+        (NodePort(node=0, port=2 * i), NodePort(node=0, port=2 * i + 1))
+        for i in range(loops)
+    )
+    return Diagram(nodes=(Node(kind=kind, degree=2 * loops),), edges=edges, n_in=0, n_out=0)
 
 
 # -- oracle 1: ket expansion over Fraction pairs -----------------------------
@@ -307,6 +317,18 @@ class TestEvaluate:
         assert evaluate(identity(11)) == identity_matrix(11)
         with pytest.raises(TooLarge):
             evaluate(generator(Z, 11, 12))
+
+    def test_bounds_the_legs_of_enumerated_generators(self) -> None:
+        # An H box's support is enumerated over all 2^degree leg patterns,
+        # so its degree falls under DEFAULT_MAX_BOUNDARY (22) as well.
+        # Traced self-loops: 15 patterns read 1 and the all-ones one -1.
+        assert evaluate(self_looped(H, 4)).entries == {("", ""): ExactScalar(14, 0, 0)}
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="node 0"):
+            evaluate(self_looped(H, 12))
+        assert time.perf_counter() - start < 0.1
+        # A white spider has two support entries at any degree: unbounded.
+        assert evaluate(self_looped(Z, 15)).entries == {("", ""): TWO}
 
     def test_rejects_unknown_order(self) -> None:
         with pytest.raises(ValueError):

@@ -3,20 +3,23 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
-from zhcalc.corpus import random_formula
+from zhcalc.corpus import random_diagram, random_formula
 from zhcalc.diagram import (
     ArityMismatch,
+    BoundaryPort,
     GeneratorKind,
+    NodePort,
     compose,
     generator,
     identity,
     tensor,
 )
 from zhcalc.encode import GateBlock, counting_state, gate_gadget
-from zhcalc.evaluate import BasisState
+from zhcalc.evaluate import BasisState, apply_basis, evaluate
 from zhcalc.formula import Const, SatCompareInstance, TooManyVariables, parse_formula
 from zhcalc.reductions import DyadicK, build_contains_entry, build_state_eq, dyadic_scalar
 from zhcalc.scalar import ExactScalar, HALF, ONE, TWO, ZERO
@@ -55,6 +58,44 @@ def random_instance(rng: random.Random) -> SatCompareInstance:
     psi = random_formula(rng, xs + [f"y{i}" for i in range(1, m + 1)], max_depth=3)
     rho = random_formula(rng, xs + [f"z{i}" for i in range(1, m + 1)], max_depth=3)
     return SatCompareInstance(n=n, m=m, psi=psi, rho=rho)
+
+
+# -- the per-input route the solvers replaced, kept as a reference ----------
+
+
+def basis(width: int) -> list[BasisState]:
+    return [BasisState(bits=bits) for bits in product((0, 1), repeat=width)]
+
+
+def reference_state_eq(d1, d2):
+    for state in basis(d1.n_in):
+        if apply_basis(d1, state, "in") == apply_basis(d2, state, "in"):
+            return state
+    return None
+
+
+def reference_contains_entry(d, k):
+    for row in basis(d.n_out):
+        residual = apply_basis(d, row, "out")
+        for col in basis(d.n_in):
+            if residual.entry("", str(col)) == k:
+                return row, col
+    return None
+
+
+def random_pairs(seed: int, count: int):
+    """Seeded same-shape diagram pairs, at most two inputs and two outputs.
+
+    ``random_diagram`` pairs off one stub pool, so self-loops and
+    boundary-to-boundary wires both occur.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        shape = {"n_in": rng.randint(0, 2), "n_out": rng.randint(0, 2)}
+        yield (
+            random_diagram(rng, **shape, max_nodes=3, max_degree=3),
+            random_diagram(rng, **shape, max_nodes=3, max_degree=3),
+        )
 
 
 class TestScalarDiagram:
@@ -100,6 +141,23 @@ class TestSolveStateEq:
             solve_state_eq(identity(1), identity(2))
         with pytest.raises(TooManyWires):
             solve_state_eq(identity(17), identity(17))
+        # Inputs plus outputs count, as for the other solvers: 8 + 9 = 17.
+        with pytest.raises(TooManyWires):
+            solve_state_eq(generator(Z, 8, 9), generator(Z, 8, 9))
+
+    def test_matches_the_per_input_reference(self) -> None:
+        outcomes = {True: 0, False: 0}
+        loops = passthroughs = 0
+        for d1, d2 in random_pairs(9431, 120):
+            witness = solve_state_eq(d1, d2)
+            assert witness == reference_state_eq(d1, d2), (d1, d2)
+            outcomes[witness is not None] += 1
+            for a, b in d1.edges + d2.edges:
+                loops += isinstance(a, NodePort) and isinstance(b, NodePort) and a.node == b.node
+                passthroughs += isinstance(a, BoundaryPort) and isinstance(b, BoundaryPort)
+        # 29 pairs have a witness and 91 do not; 90 self-loops and 124
+        # boundary-to-boundary wires occur.
+        assert min(outcomes[True], outcomes[False], loops, passthroughs) > 0
 
 
 class TestSolveContainsEntry:
@@ -122,6 +180,14 @@ class TestSolveContainsEntry:
     def test_boundary_bound(self) -> None:
         with pytest.raises(TooManyWires):
             solve_contains_entry(identity(9), ONE)
+
+    def test_matches_the_per_input_reference(self) -> None:
+        absent = ExactScalar(1, 0, 40)
+        for d, _ in random_pairs(5527, 60):
+            stored = set(evaluate(d).entries.values())
+            assert absent not in stored
+            for k in [ZERO, absent, *stored]:
+                assert solve_contains_entry(d, k) == reference_contains_entry(d, k), (d, k)
 
 
 class TestCompareAndIsZero:
