@@ -144,6 +144,9 @@ class TestSolveStateEq:
         # Inputs plus outputs count, as for the other solvers: 8 + 9 = 17.
         with pytest.raises(TooManyWires):
             solve_state_eq(generator(Z, 8, 9), generator(Z, 8, 9))
+        # Outputs alone count too: two 17-output states are refused.
+        with pytest.raises(TooManyWires):
+            solve_state_eq(generator(Z, 0, 17), generator(Z, 0, 17))
 
     def test_matches_the_per_input_reference(self) -> None:
         outcomes = {True: 0, False: 0}
