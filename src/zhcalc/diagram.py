@@ -14,6 +14,7 @@ show all of them at once.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -200,12 +201,12 @@ class Diagram:
         for entry in sorted(raw_nodes, key=lambda e: _int_field(e, "id")):
             node_id = entry["id"]
             if node_id in id_to_index:
-                raise ValueError(f"duplicate node id {node_id}")
+                raise ValueError(f"duplicate node id {_brief(node_id)}")
             id_to_index[node_id] = len(kinds)
             try:
                 kinds.append(GeneratorKind(entry.get("kind")))
             except ValueError as exc:
-                raise ValueError(f"unknown generator kind {entry.get('kind')!r}") from exc
+                raise ValueError(f"unknown generator kind {_brief(entry.get('kind'))}") from exc
         in_map = _boundary_permutation(raw_inputs, "in")
         out_map = _boundary_permutation(raw_outputs, "out")
 
@@ -219,7 +220,9 @@ class Diagram:
                 ep = _endpoint_from_json(raw, id_to_index, in_map, out_map)
                 if isinstance(ep, NodePort):
                     if not 0 <= ep.port < 2 * len(raw_edges):
-                        raise ValueError(f"port {ep.port} outside 0..{2 * len(raw_edges) - 1}")
+                        raise ValueError(
+                            f"port {_brief(ep.port)} outside 0..{2 * len(raw_edges) - 1}"
+                        )
                     degrees[ep.node] = max(degrees[ep.node], ep.port + 1)
                 eps.append(ep)
             edges.append((eps[0], eps[1]))
@@ -236,11 +239,18 @@ def _endpoint_to_json(ep: Endpoint) -> dict:
 def _int_field(obj: object, key: str) -> int:
     """The integer ``obj[key]`` of a JSON object, or ValueError."""
     if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, got {obj!r}")
+        raise ValueError(f"expected a JSON object, got {_brief(obj)}")
     value = obj.get(key)
     if type(value) is not int:  # bool is an int subclass; reject it too
-        raise ValueError(f"{key!r} must be an integer in {obj}")
+        raise ValueError(f"{key!r} must be an integer, got {_brief(value)}")
     return value
+
+
+def _brief(value: object) -> str:
+    """A repr of a JSON value cut to a fixed length, so that an error
+    message stays one short line however large the input."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def _boundary_permutation(raw: list, side: str) -> dict[int, int]:
@@ -249,9 +259,9 @@ def _boundary_permutation(raw: list, side: str) -> dict[int, int]:
     for logical, entry in enumerate(raw):
         pos = _int_field(entry, "pos")
         if entry.get("boundary") != side:
-            raise ValueError(f"{side} list holds a non-{side} endpoint: {entry}")
+            raise ValueError(f"{side} list holds a non-{side} endpoint: {_brief(entry)}")
         if pos in mapping:
-            raise ValueError(f"{side} position {pos} listed twice")
+            raise ValueError(f"{side} position {_brief(pos)} listed twice")
         mapping[pos] = logical
     if sorted(mapping) != list(range(len(raw))):
         raise ValueError(f"{side} positions must cover 0..{len(raw) - 1}")
@@ -265,18 +275,18 @@ def _endpoint_from_json(
     out_map: dict[int, int],
 ) -> Endpoint:
     if not isinstance(raw, dict):
-        raise ValueError(f"endpoint must be a JSON object, got {raw!r}")
+        raise ValueError(f"endpoint must be a JSON object, got {_brief(raw)}")
     if "node" in raw:
         node_id = _int_field(raw, "node")
         if node_id not in id_to_index:
-            raise ValueError(f"edge references unknown node id {node_id}")
+            raise ValueError(f"edge references unknown node id {_brief(node_id)}")
         return NodePort(node=id_to_index[node_id], port=_int_field(raw, "port"))
     side = raw.get("boundary")
     if side in ("in", "out"):
         pos = _int_field(raw, "pos")
         mapping = in_map if side == "in" else out_map
         return BoundaryPort(side=side, pos=mapping.get(pos, pos))
-    raise ValueError(f"malformed endpoint: {raw}")
+    raise ValueError(f"malformed endpoint: {_brief(raw)}")
 
 
 # -- constructors ----------------------------------------------------------

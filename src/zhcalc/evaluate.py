@@ -7,6 +7,12 @@ edges, keeping everything sparse: a factor stores only its nonzero
 entries, and wires are summed out either greedily (smallest intermediate
 factor first) or in fixed edge order. The two orders must agree exactly;
 tests rely on that.
+
+Inside the engine a factor's table holds plain (a, b) int pairs under one
+exponent e per factor, each read as (a + b*sqrt(2)) / 2**e, so products
+and sums are int arithmetic. Values are canonicalized into ``ExactScalar``
+only on exit, when the ``ExactMatrix`` is assembled. Each generator's
+table is built once per (kind, self-loop pattern) within a call.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 from .diagram import (
@@ -242,73 +249,103 @@ def interpret_generator(kind: GeneratorKind, m: int, n: int) -> ExactMatrix:
 
 @dataclass
 class _Factor:
+    """A sparse tensor whose entry ``table[key] = (a, b)`` is the value
+    (a + b*sqrt(2)) / 2**e. One exponent serves the whole table, so the
+    engine works on plain ints and never canonicalizes."""
+
     wires: tuple[int, ...]
-    table: dict[tuple[int, ...], ExactScalar]
+    table: dict[tuple[int, ...], tuple[int, int]]
+    e: int = 0
 
 
 def _node_factor(
-    kind: GeneratorKind, degree: int, slot_wires: Sequence[int]
+    kind: GeneratorKind,
+    slot_wires: Sequence[int],
+    templates: dict[tuple, tuple[dict, int]],
 ) -> _Factor:
-    """Project a generator's support onto its distinct incident wires.
+    """A generator's factor over its distinct incident wires.
 
-    A self-loop makes the same wire occupy two slots; support entries
-    whose slots disagree on that wire vanish, and the survivors are keyed
-    by one bit per distinct wire.
+    The table depends only on the kind and the self-loop pattern (slot i
+    holds the pattern[i]-th distinct wire; one entry per leg, so the
+    pattern also fixes the degree). It is built once per pattern and kept
+    in ``templates``, which belongs to one ``evaluate`` call.
     """
-    distinct: list[int] = []
-    for w in slot_wires:
-        if w not in distinct:
-            distinct.append(w)
-    table: dict[tuple[int, ...], ExactScalar] = {}
-    for bits, value in _generator_support(kind, degree):
-        assignment: dict[int, int] = {}
-        consistent = True
-        for wire, bit in zip(slot_wires, bits):
-            if assignment.setdefault(wire, bit) != bit:
-                consistent = False
+    distinct = tuple(dict.fromkeys(slot_wires))
+    slot_of = {w: i for i, w in enumerate(distinct)}
+    pattern = tuple(slot_of[w] for w in slot_wires)
+    key = (kind, pattern)
+    if key not in templates:
+        templates[key] = _template(kind, pattern, len(distinct))
+    table, e = templates[key]
+    return _Factor(wires=distinct, table=table, e=e)
+
+
+def _template(
+    kind: GeneratorKind, pattern: tuple[int, ...], width: int
+) -> tuple[dict[tuple[int, ...], tuple[int, int]], int]:
+    """Project a generator's support onto ``width`` distinct wires.
+
+    A self-loop makes one wire occupy two slots; support entries whose
+    slots disagree on that wire vanish, and the survivors are keyed by
+    one bit per distinct wire. Values are put over the largest exponent
+    in the support.
+    """
+    support = list(_generator_support(kind, len(pattern)))
+    e = max((value.e for _, value in support), default=0)
+    table: dict[tuple[int, ...], tuple[int, int]] = {}
+    for bits, value in support:
+        key: list[int | None] = [None] * width
+        for slot, bit in zip(pattern, bits):
+            if key[slot] is None:
+                key[slot] = bit
+            elif key[slot] != bit:
                 break
-        if not consistent:
-            continue
-        key = tuple(assignment[w] for w in distinct)
-        total = table.get(key, ZERO) + value
-        if total.is_zero:
-            table.pop(key, None)
         else:
-            table[key] = total
-    return _Factor(wires=tuple(distinct), table=table)
+            slots = tuple(key)
+            a, b = table.get(slots, (0, 0))
+            shift = e - value.e
+            table[slots] = (a + (value.a << shift), b + (value.b << shift))
+    return {k: v for k, v in table.items() if v != (0, 0)}, e
+
+
+def _picker(idx: list[int]):
+    """A function taking a key to the tuple of its entries at ``idx``."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda key: (key[i],)
+    return itemgetter(*idx) if idx else lambda key: ()
 
 
 def _join(f1: _Factor, f2: _Factor, summed: set[int]) -> _Factor:
     """Combine two factors, aligning on shared wires and summing out
     ``summed``, which no third factor may hold. The engine's one kernel:
     joined with the unit factor (no wires, table {(): 1}) a lone factor
-    sums out its self-loops."""
+    sums out its self-loops. Products multiply (a, b) pairs and add the
+    exponents; sums share the result's exponent, so they are int adds."""
     shared = [w for w in f1.wires if w in set(f2.wires)]
     keep1 = [i for i, w in enumerate(f1.wires) if w not in summed]
     keep2 = [
         i for i, w in enumerate(f2.wires) if w not in summed and w not in shared
     ]
     wires = tuple(f1.wires[i] for i in keep1) + tuple(f2.wires[i] for i in keep2)
-    shared_idx_1 = [f1.wires.index(w) for w in shared]
-    shared_idx_2 = [f2.wires.index(w) for w in shared]
-    buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], ExactScalar]]] = {}
-    for key2, v2 in f2.table.items():
-        proj = tuple(key2[i] for i in shared_idx_2)
-        buckets.setdefault(proj, []).append(
-            (tuple(key2[i] for i in keep2), v2)
-        )
-    table: dict[tuple[int, ...], ExactScalar] = {}
-    for key1, v1 in f1.table.items():
-        proj = tuple(key1[i] for i in shared_idx_1)
-        kept1 = tuple(key1[i] for i in keep1)
-        for kept2, v2 in buckets.get(proj, ()):
+    proj1 = _picker([f1.wires.index(w) for w in shared])
+    proj2 = _picker([f2.wires.index(w) for w in shared])
+    pick1, pick2 = _picker(keep1), _picker(keep2)
+    buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], int, int]]] = {}
+    for key2, (a2, b2) in f2.table.items():
+        buckets.setdefault(proj2(key2), []).append((pick2(key2), a2, b2))
+    table: dict[tuple[int, ...], tuple[int, int]] = {}
+    for key1, (a1, b1) in f1.table.items():
+        proj, kept1 = proj1(key1), pick1(key1)
+        for kept2, a2, b2 in buckets.get(proj, ()):
+            # (a1 + b1*r)(a2 + b2*r) with r**2 == 2
+            a = a1 * a2 + 2 * b1 * b2
+            b = a1 * b2 + b1 * a2
             new_key = kept1 + kept2
-            total = table.get(new_key, ZERO) + v1 * v2
-            if total.is_zero:
-                table.pop(new_key, None)
-            else:
-                table[new_key] = total
-    return _Factor(wires=wires, table=table)
+            old = table.get(new_key)
+            table[new_key] = (a, b) if old is None else (old[0] + a, old[1] + b)
+    table = {k: v for k, v in table.items() if v != (0, 0)}
+    return _Factor(wires=wires, table=table, e=f1.e + f2.e)
 
 
 def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
@@ -349,7 +386,8 @@ def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
                 target = in_wire if ep.side == "in" else out_wire
                 target[ep.pos] = widx
 
-    scalar = ONE
+    scalar = _Factor(wires=(), table={(): (1, 0)})  # the closed components' product
+    templates: dict[tuple, tuple[dict, int]] = {}
     factors: dict[int, _Factor] = {}
     holders: dict[int, set[int]] = {w: set() for w in range(len(d.edges))}
     next_fid = 0
@@ -359,7 +397,7 @@ def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
         for fid in replacing:
             factors.pop(fid)
         if not factor.wires:
-            scalar = scalar * factor.table.get((), ZERO)
+            scalar = _join(scalar, factor, set())
             return
         fid = next_fid
         next_fid += 1
@@ -371,7 +409,7 @@ def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
             holders[w].add(fid)
 
     for nid, node in enumerate(d.nodes):
-        install(_node_factor(node.kind, node.degree, node_slots[nid]), ())
+        install(_node_factor(node.kind, node_slots[nid], templates), ())
 
     closed = [w for w in range(len(d.edges)) if w not in open_wires]
     done: set[int] = set()
@@ -380,7 +418,7 @@ def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
         owner_ids = sorted(holders[wire])
         f1 = factors[owner_ids[0]]
         if len(owner_ids) == 1:
-            f2 = _Factor(wires=(), table={(): ONE})
+            f2 = _Factor(wires=(), table={(): (1, 0)})
             summed = {w for w in f1.wires if w not in open_wires and len(holders[w]) == 1}
         else:
             f2 = factors[owner_ids[1]]
@@ -416,24 +454,24 @@ def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
 
     # Only open wires remain. Fold the surviving factors into one sparse
     # table, then expand wires no factor covers (boundary-to-boundary
-    # wires are free indices).
-    combined = _Factor(wires=(), table={(): ONE})
+    # wires are free indices). Values become ExactScalar only here. Every
+    # open wire is a row or column bit, so each (key, free bits) pair
+    # lands on its own entry.
+    combined = scalar
     for fid in sorted(factors):
         combined = _join(combined, factors[fid], set())
     covered = set(combined.wires)
     free = sorted(w for w in open_wires if w not in covered)
 
     entries: dict[tuple[str, str], ExactScalar] = {}
-    for key, value in combined.table.items():
-        total = value * scalar
-        if total.is_zero:
-            continue
+    for key, (a, b) in combined.table.items():
+        value = ExactScalar(a, b, combined.e)
         base = dict(zip(combined.wires, key))
         for bits in product((0, 1), repeat=len(free)):
             assignment = base | dict(zip(free, bits))
             row = "".join(str(assignment[w]) for w in out_wire)
             col = "".join(str(assignment[w]) for w in in_wire)
-            entries[(row, col)] = entries.get((row, col), ZERO) + total
+            entries[(row, col)] = value
     return ExactMatrix(n_out=d.n_out, n_in=d.n_in, entries=entries)
 
 

@@ -39,11 +39,16 @@ class ExactScalar:
             a <<= -e
             b <<= -e
             e = 0
+        elif e > 0 and not (a | b) & 1:
+            # Drop the common factors of two in one shift: the trailing
+            # zeros of a | b, but never below e = 0.
+            low = a | b
+            shift = min((low & -low).bit_length() - 1, e)
+            a >>= shift
+            b >>= shift
+            e -= shift
         else:
-            while e > 0 and a % 2 == 0 and b % 2 == 0:
-                a //= 2
-                b //= 2
-                e -= 1
+            return  # already canonical
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "e", e)

@@ -223,11 +223,20 @@ class TestErrors:
             {"boundary": "out", "pos": 0.5},
             7,
             {"node": 1, "port": 200000},
+            {"node": 1, "port": "p" * 100_000},
         ],
     )
     def test_malformed_diagram(self, tmp_path, capsys, command, endpoint) -> None:
         document = gate_gadget(GateBlock.TRUE).to_json()
         document["edges"][0][0] = endpoint
+        path = write_json(tmp_path / "bad.json", document)
+        assert main(command + [path]) == 2
+        self._assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", [["eval"], ["solve", "is-zero"]])
+    def test_huge_kind(self, tmp_path, capsys, command) -> None:
+        document = gate_gadget(GateBlock.TRUE).to_json()
+        document["nodes"][0]["kind"] = "k" * 100_000
         path = write_json(tmp_path / "bad.json", document)
         assert main(command + [path]) == 2
         self._assert_one_error_line(capsys)

@@ -16,7 +16,7 @@ from itertools import product
 
 import pytest
 
-from zhcalc.corpus import random_diagram
+from zhcalc.corpus import random_cnf, random_diagram
 from zhcalc.diagram import (
     ArityMismatch,
     BoundaryPort,
@@ -31,6 +31,7 @@ from zhcalc.diagram import (
     identity,
     tensor,
 )
+from zhcalc.encode import counting_state, stars
 from zhcalc.evaluate import (
     BadArity,
     BasisState,
@@ -45,6 +46,7 @@ from zhcalc.evaluate import (
     matrix_tensor,
     scalar_matrix,
 )
+from zhcalc.formula import count_sat
 from zhcalc.scalar import ExactScalar, HALF, ONE, SQRT2, TWO, ZERO
 
 Z = GeneratorKind.WHITE_SPIDER
@@ -341,6 +343,60 @@ class TestEvaluate:
     def test_rejects_unknown_order(self) -> None:
         with pytest.raises(ValueError):
             evaluate(identity(1), order="alphabetical")
+
+
+def seeded_counting_state(seed: int, n: int, m: int) -> tuple[Diagram, int]:
+    cnf = random_cnf(random.Random(seed), n, m)
+    phi = cnf.to_formula()
+    return counting_state(phi, cnf.variables), count_sat(phi, cnf.variables)
+
+
+class TestPairTables:
+    """The engine keeps (a, b) int pairs with one exponent per factor and
+    builds ExactScalar only for the entries of the returned matrix."""
+
+    def test_builds_scalars_only_on_exit(self, monkeypatch) -> None:
+        d, count = seeded_counting_state(37, 6, 12)
+        built = 0
+        original = ExactScalar.__post_init__
+
+        def counting(self) -> None:
+            nonlocal built
+            built += 1
+            original(self)
+
+        monkeypatch.setattr(ExactScalar, "__post_init__", counting)
+        result = evaluate(d)
+        monkeypatch.undo()
+        assert result.entry("1", "") == ExactScalar(count, 0, 0)
+        assert built < len(d.nodes), (built, len(d.nodes))
+
+    def test_large_shared_exponent(self) -> None:
+        d, count = seeded_counting_state(34, 5, 10)
+        closed = tensor(stars(400), compose(basis_effect(True), d))
+        assert evaluate(closed) == scalar_matrix(ExactScalar(count, 0, 400))
+        assert evaluate(tensor(stars(400), d)) == matrix_tensor(
+            scalar_matrix(ExactScalar(1, 0, 400)), evaluate(d)
+        )
+
+    def test_calls_share_no_tables(self) -> None:
+        # The second diagram has the same nodes, so the same generator
+        # kinds and degrees, but its legs are paired off differently.
+        rng = random.Random(5)
+        for _ in range(40):
+            d = random_diagram(rng, max_nodes=4, max_wires=2, max_degree=3)
+            stubs = [ep for edge in d.edges for ep in edge]
+            rng.shuffle(stubs)
+            rewired = Diagram(
+                nodes=d.nodes,
+                edges=tuple(zip(stubs[::2], stubs[1::2])),
+                n_in=d.n_in,
+                n_out=d.n_out,
+            )
+            first = evaluate(d)
+            assert evaluate(rewired).entries == brute_evaluate(rewired)
+            assert evaluate(d) == first
+            assert first.entries == brute_evaluate(d)
 
 
 class TestApplyBasis:

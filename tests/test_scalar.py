@@ -49,6 +49,10 @@ def test_canonical_reduces_common_factors():
     assert (s.a, s.b, s.e) == (2, 1, 2)
     s2 = ExactScalar(8, 0, 3)
     assert (s2.a, s2.b, s2.e) == (1, 0, 0)
+    assert ExactScalar(3 << 5000, 0, 10_000) == ExactScalar(3, 0, 5000)
+    s3 = ExactScalar(-(5 << 7), 3 << 9, 100)
+    assert (s3.a, s3.b, s3.e) == (-5, 3 << 2, 93)
+    assert ExactScalar(7 << 50, 0, 20) == ExactScalar(7 << 30, 0, 0)
 
 
 def test_negative_exponent_normalizes():
