@@ -2,11 +2,12 @@
 
 Every generator is a symmetric tensor with entries in the ring handled by
 ``ExactScalar``, so a diagram denotes a matrix indexed by bitstrings over
-its boundary wires. ``evaluate`` contracts the generator tensors along
-edges, keeping everything sparse: a factor stores only its nonzero
-entries, and wires are summed out either greedily (smallest intermediate
-factor first) or in fixed edge order. The two orders must agree exactly;
-tests rely on that.
+its boundary wires. ``evaluate`` fuses the wires of each white spider and
+white not into one index (ZH spider fusion), then runs bucket elimination
+over the indices: a factor stores only its nonzero entries, and each
+closed index is summed out once every factor holding it is joined, either
+greedily (fewest indices spanned first) or in edge order. The two orders
+must agree exactly; tests rely on that.
 
 Inside the engine a factor's table holds plain (a, b) int pairs under one
 exponent e per factor, each read as (a + b*sqrt(2)) / 2**e, so products
@@ -21,7 +22,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .diagram import (
     ArityMismatch,
@@ -351,15 +352,17 @@ def _join(f1: _Factor, f2: _Factor, summed: set[int]) -> _Factor:
 def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
     """The exact matrix denoted by ``d``.
 
-    ``order`` picks the contraction schedule: "greedy" sums the wire
-    whose elimination gives the narrowest intermediate factor, while
-    "sequential" walks wires in edge order. Both give the same matrix.
+    ``order`` picks the elimination schedule over fused indices:
+    "greedy" sums out the index whose factors span the fewest indices,
+    while "sequential" takes indices in edge order (each is named by its
+    lowest wire). Both give the same matrix.
     """
     if order not in ("greedy", "sequential"):
         raise ValueError(f"unknown contraction order {order!r}")
     problems = d.validate()
     if problems:
-        raise InvalidDiagram("; ".join(str(p) for p in problems))
+        shown = "; ".join(str(p) for p in problems[:3])
+        raise InvalidDiagram(f"{len(problems)} problem(s), first: {shown}")
     if d.n_in + d.n_out > DEFAULT_MAX_BOUNDARY:
         raise TooLarge(
             f"{d.n_in + d.n_out} boundary wires exceed the bound of "
@@ -376,92 +379,85 @@ def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
     node_slots: list[list[int]] = [[-1] * node.degree for node in d.nodes]
     in_wire = [-1] * d.n_in
     out_wire = [-1] * d.n_out
-    open_wires: set[int] = set()
     for widx, (a, b) in enumerate(d.edges):
         for ep in (a, b):
             if isinstance(ep, NodePort):
                 node_slots[ep.node][ep.port] = widx
             else:
-                open_wires.add(widx)
                 target = in_wire if ep.side == "in" else out_wire
                 target[ep.pos] = widx
 
-    scalar = _Factor(wires=(), table={(): (1, 0)})  # the closed components' product
-    templates: dict[tuple, tuple[dict, int]] = {}
-    factors: dict[int, _Factor] = {}
-    holders: dict[int, set[int]] = {w: set() for w in range(len(d.edges))}
-    next_fid = 0
+    # Spider fusion: the legs of a white spider or white not carry one
+    # bit, so their wires form one index, named by its lowest wire.
+    root = list(range(len(d.edges)))
 
-    def install(factor: _Factor, replacing: Iterable[int]) -> None:
-        nonlocal scalar, next_fid
-        for fid in replacing:
-            factors.pop(fid)
-        if not factor.wires:
-            scalar = _join(scalar, factor, set())
-            return
-        fid = next_fid
-        next_fid += 1
-        factors[fid] = factor
-        for w in factor.wires:
-            holders[w] = {
-                f for f in holders[w] if f in factors and w in factors[f].wires
-            }
-            holders[w].add(fid)
+    def find(w: int) -> int:
+        while root[w] != w:
+            root[w] = w = root[root[w]]
+        return w
 
     for nid, node in enumerate(d.nodes):
-        install(_node_factor(node.kind, node_slots[nid], templates), ())
+        if node.kind in (GeneratorKind.WHITE_SPIDER, GeneratorKind.WHITE_NOT):
+            for w in node_slots[nid][1:]:
+                a, b = sorted((find(node_slots[nid][0]), find(w)))
+                root[b] = a
 
-    closed = [w for w in range(len(d.edges)) if w not in open_wires]
-    done: set[int] = set()
+    # A fused white spider is a plain index; a fused white not adds its
+    # sign as a one-leg table. An index no factor holds is a traced loop
+    # (a legless white spider, worth 2) if closed, and free if open.
+    templates: dict[tuple, tuple[dict, int]] = {}
+    factors: dict[int, _Factor] = {}
+    for nid, node in enumerate(d.nodes):
+        slots = [find(w) for w in node_slots[nid]]
+        if node.kind is GeneratorKind.WHITE_SPIDER and slots:
+            continue
+        if node.kind is GeneratorKind.WHITE_NOT:
+            slots = slots[:1]
+        factors[len(factors)] = _node_factor(node.kind, slots, templates)
+    holders: dict[int, set[int]] = {find(w): set() for w in range(len(d.edges))}
+    for fid, factor in factors.items():
+        for i in factor.wires:
+            holders[i].add(fid)
+    in_wire, out_wire = [find(w) for w in in_wire], [find(w) for w in out_wire]
+    open_indices = set(in_wire + out_wire)
+    for i in [i for i, fids in holders.items() if not fids and i not in open_indices]:
+        del holders[i]
+        factors[len(factors)] = _node_factor(GeneratorKind.WHITE_SPIDER, (), templates)
 
-    def contract(wire: int) -> None:
-        owner_ids = sorted(holders[wire])
-        f1 = factors[owner_ids[0]]
-        if len(owner_ids) == 1:
-            f2 = _Factor(wires=(), table={(): (1, 0)})
-            summed = {w for w in f1.wires if w not in open_wires and len(holders[w]) == 1}
-        else:
-            f2 = factors[owner_ids[1]]
-            summed = {w for w in f1.wires if w in set(f2.wires)}
-        done.update(summed)
-        install(_join(f1, f2, summed), owner_ids)
+    # Bucket elimination: pop the cheapest closed index, join every
+    # factor that holds it, and sum it out at the last join.
+    def cost(i: int) -> int:
+        if order == "sequential":
+            return 0
+        return len({j for fid in holders[i] for j in factors[fid].wires})
 
-    if order == "sequential":
-        for wire in closed:
-            if wire not in done:
-                contract(wire)
-    else:
-        def width(wire: int) -> int:
-            owner_ids = sorted(holders[wire])
-            if len(owner_ids) == 1:
-                return len(factors[owner_ids[0]].wires) - 1
-            w1 = factors[owner_ids[0]].wires
-            w2 = factors[owner_ids[1]].wires
-            shared = len(set(w1) & set(w2))
-            return len(w1) + len(w2) - 2 * shared
+    heap = [(cost(i), i) for i in holders if i not in open_indices]
+    heapq.heapify(heap)
+    next_fid = len(factors)
+    while heap:
+        score, i = heapq.heappop(heap)
+        current = cost(i)
+        if current != score:
+            heapq.heappush(heap, (current, i))
+            continue
+        joined = _Factor(wires=(), table={(): (1, 0)})
+        owner_ids = sorted(holders.pop(i))
+        for k, fid in enumerate(owner_ids, 1):
+            joined = _join(joined, factors.pop(fid), {i} if k == len(owner_ids) else set())
+        for j in joined.wires:
+            holders[j].difference_update(owner_ids)
+            holders[j].add(next_fid)
+        factors[next_fid] = joined
+        next_fid += 1
 
-        heap = [(width(w), w) for w in closed]
-        heapq.heapify(heap)
-        while heap:
-            score, wire = heapq.heappop(heap)
-            if wire in done:
-                continue
-            current = width(wire)
-            if current != score:
-                heapq.heappush(heap, (current, wire))
-                continue
-            contract(wire)
-
-    # Only open wires remain. Fold the surviving factors into one sparse
-    # table, then expand wires no factor covers (boundary-to-boundary
-    # wires are free indices). Values become ExactScalar only here. Every
-    # open wire is a row or column bit, so each (key, free bits) pair
-    # lands on its own entry.
-    combined = scalar
+    # Only open indices remain. Fold the surviving factors into one
+    # sparse table, then expand the open indices no factor holds. Values
+    # become ExactScalar only here. Each boundary bit is read through
+    # its index, so each (key, free bits) pair lands on its own entry.
+    combined = _Factor(wires=(), table={(): (1, 0)})
     for fid in sorted(factors):
         combined = _join(combined, factors[fid], set())
-    covered = set(combined.wires)
-    free = sorted(w for w in open_wires if w not in covered)
+    free = sorted(open_indices - set(combined.wires))
 
     entries: dict[tuple[str, str], ExactScalar] = {}
     for key, (a, b) in combined.table.items():
@@ -469,8 +465,8 @@ def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
         base = dict(zip(combined.wires, key))
         for bits in product((0, 1), repeat=len(free)):
             assignment = base | dict(zip(free, bits))
-            row = "".join(str(assignment[w]) for w in out_wire)
-            col = "".join(str(assignment[w]) for w in in_wire)
+            row = "".join(str(assignment[i]) for i in out_wire)
+            col = "".join(str(assignment[i]) for i in in_wire)
             entries[(row, col)] = value
     return ExactMatrix(n_out=d.n_out, n_in=d.n_in, entries=entries)
 

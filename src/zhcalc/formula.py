@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Union
 
+from .diagram import _brief
+
 DEFAULT_MAX_VARS = 20
 
 
@@ -277,7 +279,7 @@ def _tokenize(text: str) -> list[str]:
         m = _TOKEN.match(text, pos)
         if m is None:
             if text[pos:].strip():
-                raise ParseError(f"unexpected character at {pos}: {text[pos:]!r}")
+                raise ParseError(f"unexpected character at {pos}: {_brief(text[pos:])}")
             break
         tokens.append(m.group("name") or m.group("op"))
         pos = m.end()
@@ -302,7 +304,7 @@ class _Parser:
     def parse(self) -> Formula:
         phi = self.iff()
         if self.peek() is not None:
-            raise ParseError(f"trailing input from token {self.pos}: {self.peek()!r}")
+            raise ParseError(f"trailing input from token {self.pos}: {_brief(self.peek())}")
         return phi
 
     def iff(self) -> Formula:
@@ -352,7 +354,7 @@ class _Parser:
             return FALSE
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
             return Var(tok)
-        raise ParseError(f"unexpected token {tok!r}")
+        raise ParseError(f"unexpected token {_brief(tok)}")
 
 
 def parse_formula(text: str) -> Formula:
@@ -437,9 +439,8 @@ class SatCompareInstance:
         bad_psi = set(formula_vars(self.psi)) - allowed_psi
         bad_rho = set(formula_vars(self.rho)) - allowed_rho
         if bad_psi or bad_rho:
-            raise ValueError(
-                f"unexpected variables: psi {sorted(bad_psi)}, rho {sorted(bad_rho)}"
-            )
+            bad = f"psi {_brief(sorted(bad_psi))}, rho {_brief(sorted(bad_rho))}"
+            raise ValueError(f"unexpected variables: {bad}")
 
     @property
     def x_vars(self) -> tuple[str, ...]:
@@ -464,10 +465,10 @@ class SatCompareInstance:
     @classmethod
     def from_json(cls, obj: dict) -> "SatCompareInstance":
         if not isinstance(obj, dict):
-            raise ValueError(f"instance JSON must be an object, not {obj!r}")
+            raise ValueError(f"instance JSON must be an object, not {_brief(obj)}")
         n, m, psi, rho = (obj.get(key) for key in ("n", "m", "psi", "rho"))
         if type(n) is not int or type(m) is not int:
-            raise ValueError(f"n and m must be integers, not {n!r} and {m!r}")
+            raise ValueError(f"n and m must be integers, not {_brief(n)} and {_brief(m)}")
         if not isinstance(psi, str) or not isinstance(rho, str):
-            raise ValueError(f"psi and rho must be strings, not {psi!r} and {rho!r}")
+            raise ValueError(f"psi and rho must be strings, not {_brief(psi)} and {_brief(rho)}")
         return cls(n=n, m=m, psi=parse_formula(psi), rho=parse_formula(rho))

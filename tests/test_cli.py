@@ -241,6 +241,26 @@ class TestErrors:
         assert main(command + [path]) == 2
         self._assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("command", [["eval"], ["solve", "is-zero"]])
+    def test_many_problems(self, tmp_path, capsys, command) -> None:
+        # 5,000 white spiders, each with a self-loop on ports 1 and 2 and
+        # port 0 dangling: 5,000 validation problems.
+        nodes = [{"id": i, "kind": "Z"} for i in range(5000)]
+        edges = [[{"node": i, "port": 1}, {"node": i, "port": 2}] for i in range(5000)]
+        document = {"nodes": nodes, "edges": edges, "inputs": [], "outputs": []}
+        path = write_json(tmp_path / "dangling.json", document)
+        assert main(command + [path]) == 2
+        self._assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x1 & $" + "x" * 100_000, "x1 " + "x" * 100_000],
+        ids=["bad-character", "trailing-name"],
+    )
+    def test_huge_formula_text(self, capsys, text) -> None:
+        assert main(["count", text, "--vars", "x1"]) == 2
+        self._assert_one_error_line(capsys)
+
     @pytest.mark.parametrize("command", [["reduce", "state-eq"], ["verify"]])
     @pytest.mark.parametrize(
         "patch",
@@ -251,6 +271,10 @@ class TestErrors:
             {"psi": 5},
             {"rho": None},
             {"n": -1, "psi": "y1", "rho": "z1"},
+            {"psi": ["x1"] * 50_000},
+            {"n": "n" * 100_000},
+            {"psi": "x1 & $" + "x" * 100_000},
+            {"psi": " & ".join(f"w{i}" for i in range(500))},
         ],
     )
     def test_malformed_instance(self, tmp_path, capsys, command, patch) -> None:

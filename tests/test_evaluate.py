@@ -297,6 +297,11 @@ class TestEvaluate:
         assert evaluate(looped).entries == brute_evaluate(looped)
         doubled = compose(generator(X, 1, 1), generator(X, 1, 1))
         assert evaluate(doubled).entries == brute_evaluate(doubled)
+        # A white not on a self-loop traces its sign to 1 - 1 = 0, and two
+        # white nots in series on one wire cancel.
+        assert evaluate(self_looped(ZNOT, 1)).is_zero
+        nots = compose(generator(ZNOT, 1, 1), generator(ZNOT, 1, 1))
+        assert evaluate(nots) == identity_matrix(1)
 
     def test_contraction_orders_agree(self) -> None:
         rng = random.Random(40)
@@ -397,6 +402,32 @@ class TestPairTables:
             assert evaluate(rewired).entries == brute_evaluate(rewired)
             assert evaluate(d) == first
             assert first.entries == brute_evaluate(d)
+
+
+class TestFusedElimination:
+    """Wires of a white spider or white not share one index, so a
+    counting state is eliminated over its variables, not its wires."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_peak_width_of_counting_states(self, monkeypatch, seed) -> None:
+        # Wire-level contraction of these states peaks at 19-20 indices.
+        d, count = seeded_counting_state(seed, 6, 12)
+        widths = []
+        join = evaluate_module._join
+
+        def recording(*args):
+            joined = join(*args)
+            widths.append(len(joined.wires))
+            return joined
+
+        monkeypatch.setattr(evaluate_module, "_join", recording)
+        assert evaluate(d).entry("1", "") == ExactScalar(count, 0, 0)
+        assert max(widths) <= 12, max(widths)
+
+    def test_twelve_variable_counting_state(self) -> None:
+        d, count = seeded_counting_state(1, 12, 25)
+        want = {("1", ""): ExactScalar(count, 0, 0), ("0", ""): ExactScalar(2**12 - count, 0, 0)}
+        assert evaluate(d) == ExactMatrix(n_out=1, n_in=0, entries=want)
 
 
 class TestApplyBasis:
