@@ -103,7 +103,7 @@ class Diagram:
     def validate(self) -> list[Violation]:
         """Return all invariant violations, empty iff well formed."""
         out: list[Violation] = []
-        port_uses: dict[NodePort, int] = {}
+        port_uses: dict[tuple[int, int], int] = {}
         boundary_uses: dict[BoundaryPort, int] = {}
         for a, b in self.edges:
             for ep in (a, b):
@@ -122,7 +122,8 @@ class Diagram:
                             )
                         )
                         continue
-                    port_uses[ep] = port_uses.get(ep, 0) + 1
+                    key = (ep.node, ep.port)
+                    port_uses[key] = port_uses.get(key, 0) + 1
                 else:
                     if ep.side not in ("in", "out"):
                         out.append(Violation("BadBoundary", f"unknown side {ep.side!r}"))
@@ -137,12 +138,12 @@ class Diagram:
                         )
                         continue
                     boundary_uses[ep] = boundary_uses.get(ep, 0) + 1
-        for ep, count in sorted(port_uses.items(), key=lambda kv: _endpoint_key(kv[0])):
+        for (node, port), count in sorted(port_uses.items()):
             if count > 1:
                 out.append(
                     Violation(
                         "DuplicatePort",
-                        f"port {ep.port} of node {ep.node} used {count} times",
+                        f"port {port} of node {node} used {count} times",
                     )
                 )
         for i, node in enumerate(self.nodes):
@@ -150,8 +151,7 @@ class Diagram:
                 out.append(Violation("StarWithLegs", f"star node {i} has degree {node.degree}"))
                 continue
             for port in range(node.degree):
-                key = NodePort(node=i, port=port)
-                if key not in port_uses:
+                if (i, port) not in port_uses:
                     out.append(
                         Violation("MissingPort", f"port {port} of node {i} is dangling")
                     )
@@ -321,21 +321,24 @@ def generator(kind: GeneratorKind, m: int, n: int) -> Diagram:
     return Diagram(nodes=(node,), edges=tuple(edges), n_in=m, n_out=n)
 
 
-def basis_state(bit: bool) -> Diagram:
-    """The normalized one-wire state |0> or |1> (a star times a one-leg
-    dark generator)."""
+def _basis_nodes(bit: bool) -> tuple[Node, Node]:
+    """The nodes of |bit> and <bit|: a star times a one-leg dark spider
+    (bit 0) or dark not (bit 1). ``apply_basis`` pins boundary bits with
+    the same two nodes."""
     kind = GeneratorKind.DARK_NOT if bit else GeneratorKind.DARK_SPIDER
-    nodes = (Node(kind=GeneratorKind.STAR, degree=0), Node(kind=kind, degree=1))
+    return Node(kind=GeneratorKind.STAR, degree=0), Node(kind=kind, degree=1)
+
+
+def basis_state(bit: bool) -> Diagram:
+    """The normalized one-wire state |0> or |1>."""
     edges = ((NodePort(node=1, port=0), BoundaryPort(side="out", pos=0)),)
-    return Diagram(nodes=nodes, edges=edges, n_in=0, n_out=1)
+    return Diagram(nodes=_basis_nodes(bit), edges=edges, n_in=0, n_out=1)
 
 
 def basis_effect(bit: bool) -> Diagram:
     """The normalized one-wire effect <0| or <1|."""
-    kind = GeneratorKind.DARK_NOT if bit else GeneratorKind.DARK_SPIDER
-    nodes = (Node(kind=GeneratorKind.STAR, degree=0), Node(kind=kind, degree=1))
     edges = ((BoundaryPort(side="in", pos=0), NodePort(node=1, port=0)),)
-    return Diagram(nodes=nodes, edges=edges, n_in=1, n_out=0)
+    return Diagram(nodes=_basis_nodes(bit), edges=edges, n_in=1, n_out=0)
 
 
 # -- composition -----------------------------------------------------------

@@ -2,16 +2,18 @@
 
 Every generator is a symmetric tensor with entries in the ring handled by
 ``ExactScalar``, so a diagram denotes a matrix indexed by bitstrings over
-its boundary wires. ``evaluate`` fuses the wires of each white spider and
+its boundary wires. The engine fuses the wires of each white spider and
 white not into one index (ZH spider fusion), then runs bucket elimination
 over the indices: a factor stores only its nonzero entries, and each
 closed index is summed out once every factor holding it is joined, either
 greedily (fewest indices spanned first) or in edge order. The two orders
-must agree exactly; tests rely on that.
+must agree exactly; tests rely on that. ``apply_basis`` pins its basis
+bits inside the same engine, so it builds no plugged diagram.
 
 Inside the engine a factor's table holds plain (a, b) int pairs under one
 exponent e per factor, each read as (a + b*sqrt(2)) / 2**e, so products
-and sums are int arithmetic. Values are canonicalized into ``ExactScalar``
+and sums are int arithmetic; factors without wires are multiplied into
+one scalar instead. Values are canonicalized into ``ExactScalar``
 only on exit, when the ``ExactMatrix`` is assembled. Each generator's
 table is built once per (kind, self-loop pattern) within a call.
 """
@@ -19,6 +21,7 @@ table is built once per (kind, self-loop pattern) within a call.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
@@ -29,10 +32,7 @@ from .diagram import (
     Diagram,
     GeneratorKind,
     NodePort,
-    basis_effect,
-    basis_state,
-    compose,
-    tensor_all,
+    _basis_nodes,
 )
 from .scalar import ExactScalar, ONE, TWO, HALF, ZERO, sqrt2_pow
 
@@ -40,7 +40,7 @@ DEFAULT_MAX_BOUNDARY = 22
 
 
 class TooLarge(ValueError):
-    """More than DEFAULT_MAX_BOUNDARY boundary wires, or more than that many
+    """Over DEFAULT_MAX_BOUNDARY unpinned boundary wires, or over that many
     legs on an H box or dark generator, whose support is enumerated."""
 
 
@@ -359,13 +359,23 @@ def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
     """
     if order not in ("greedy", "sequential"):
         raise ValueError(f"unknown contraction order {order!r}")
+    return _contract(d, order)
+
+
+def _contract(
+    d: Diagram, order: str, side: str = "in", bits: Sequence[int] = ()
+) -> ExactMatrix:
+    """``evaluate`` with the first len(bits) boundary positions of ``side``
+    pinned to ``bits``, each by the nodes of ``_basis_nodes`` on its
+    index. Only unpinned wires count against DEFAULT_MAX_BOUNDARY."""
     problems = d.validate()
     if problems:
         shown = "; ".join(str(p) for p in problems[:3])
         raise InvalidDiagram(f"{len(problems)} problem(s), first: {shown}")
-    if d.n_in + d.n_out > DEFAULT_MAX_BOUNDARY:
+    unpinned = d.n_in + d.n_out - len(bits)
+    if unpinned > DEFAULT_MAX_BOUNDARY:
         raise TooLarge(
-            f"{d.n_in + d.n_out} boundary wires exceed the bound of "
+            f"{unpinned} unpinned boundary wires exceed the bound of "
             f"{DEFAULT_MAX_BOUNDARY}"
         )
     enumerated = (GeneratorKind.H_BOX, GeneratorKind.DARK_SPIDER, GeneratorKind.DARK_NOT)
@@ -386,6 +396,10 @@ def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
             else:
                 target = in_wire if ep.side == "in" else out_wire
                 target[ep.pos] = widx
+    # A pinned position leaves the boundary; its basis nodes hold its wire.
+    pinned = in_wire if side == "in" else out_wire
+    pins = [(n, [w] * n.degree) for w, v in zip(pinned, bits) for n in _basis_nodes(v)]
+    del pinned[: len(bits)]
 
     # Spider fusion: the legs of a white spider or white not carry one
     # bit, so their wires form one index, named by its lowest wire.
@@ -403,14 +417,20 @@ def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
                 root[b] = a
 
     # A fused white spider is a plain index; a fused white not adds its
-    # sign as a one-leg table. An index no factor holds is a traced loop
-    # (a legless white spider, worth 2) if closed, and free if open.
+    # sign as a one-leg table. Legless nodes, and closed indices no
+    # factor holds (traced loops, legless white spiders worth 2), are
+    # kept apart as wireless factors, one table per kind.
     templates: dict[tuple, tuple[dict, int]] = {}
+    unit = _Factor(wires=(), table={(): (1, 0)})
     factors: dict[int, _Factor] = {}
-    for nid, node in enumerate(d.nodes):
-        slots = [find(w) for w in node_slots[nid]]
-        if node.kind is GeneratorKind.WHITE_SPIDER and slots:
+    legless: Counter[GeneratorKind] = Counter()
+    for node, wires in list(zip(d.nodes, node_slots)) + pins:
+        if not wires:
+            legless[node.kind] += 1
             continue
+        if node.kind is GeneratorKind.WHITE_SPIDER:
+            continue
+        slots = [find(w) for w in wires]
         if node.kind is GeneratorKind.WHITE_NOT:
             slots = slots[:1]
         factors[len(factors)] = _node_factor(node.kind, slots, templates)
@@ -422,10 +442,13 @@ def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
     open_indices = set(in_wire + out_wire)
     for i in [i for i, fids in holders.items() if not fids and i not in open_indices]:
         del holders[i]
-        factors[len(factors)] = _node_factor(GeneratorKind.WHITE_SPIDER, (), templates)
+        legless[GeneratorKind.WHITE_SPIDER] += 1
+    wireless = [(_node_factor(kind, (), templates), n) for kind, n in legless.items()]
 
-    # Bucket elimination: pop the cheapest closed index, join every
-    # factor that holds it, and sum it out at the last join.
+    # Bucket elimination: pop the cheapest closed index, join its owners
+    # from the first, and sum it out at the last join; a lone owner sums
+    # it out against the unit factor (no wires, table {(): 1}). A result
+    # with no wires left is kept apart too.
     def cost(i: int) -> int:
         if order == "sequential":
             return 0
@@ -440,10 +463,15 @@ def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
         if current != score:
             heapq.heappush(heap, (current, i))
             continue
-        joined = _Factor(wires=(), table={(): (1, 0)})
         owner_ids = sorted(holders.pop(i))
-        for k, fid in enumerate(owner_ids, 1):
-            joined = _join(joined, factors.pop(fid), {i} if k == len(owner_ids) else set())
+        joined, *rest = [factors.pop(fid) for fid in owner_ids]
+        if not rest:
+            joined, rest = unit, [joined]
+        for k, factor in enumerate(rest, 1):
+            joined = _join(joined, factor, {i} if k == len(rest) else set())
+        if not joined.wires:
+            wireless.append((joined, 1))
+            continue
         for j in joined.wires:
             holders[j].difference_update(owner_ids)
             holders[j].add(next_fid)
@@ -452,46 +480,49 @@ def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
 
     # Only open indices remain. Fold the surviving factors into one
     # sparse table, then expand the open indices no factor holds. Values
-    # become ExactScalar only here. Each boundary bit is read through
-    # its index, so each (key, free bits) pair lands on its own entry.
-    combined = _Factor(wires=(), table={(): (1, 0)})
-    for fid in sorted(factors):
-        combined = _join(combined, factors[fid], set())
+    # become ExactScalar only here, times the product (sa, sb, se) of the
+    # wireless factors. Each boundary bit is read through its index, so
+    # each (key, free bits) pair lands on its own entry.
+    combined, *rest = [factors[fid] for fid in sorted(factors)] or [unit]
+    for factor in rest:
+        combined = _join(combined, factor, set())
     free = sorted(open_indices - set(combined.wires))
+    sa, sb, se = 1, 0, 0
+    for factor, times in wireless:
+        fa, fb = factor.table.get((), (0, 0))  # an empty table is zero
+        for _ in range(times):
+            sa, sb = sa * fa + 2 * sb * fb, sa * fb + sb * fa
+        se += times * factor.e
 
     entries: dict[tuple[str, str], ExactScalar] = {}
-    for key, (a, b) in combined.table.items():
-        value = ExactScalar(a, b, combined.e)
+    for key, (a, b) in combined.table.items() if sa or sb else ():
+        value = ExactScalar(a * sa + 2 * b * sb, a * sb + b * sa, combined.e + se)
         base = dict(zip(combined.wires, key))
-        for bits in product((0, 1), repeat=len(free)):
-            assignment = base | dict(zip(free, bits))
+        for fill in product((0, 1), repeat=len(free)):
+            assignment = base | dict(zip(free, fill))
             row = "".join(str(assignment[i]) for i in out_wire)
             col = "".join(str(assignment[i]) for i in in_wire)
             entries[(row, col)] = value
-    return ExactMatrix(n_out=d.n_out, n_in=d.n_in, entries=entries)
+    return ExactMatrix(n_out=len(out_wire), n_in=len(in_wire), entries=entries)
 
 
 def apply_basis(
     d: Diagram, v: Union[BasisState, Sequence[int]], side: str
 ) -> ExactMatrix:
-    """Plug |v> into the inputs (side="in") or <v| onto the outputs
-    (side="out") and evaluate.
+    """Pin |v> on the inputs (side="in") or <v| on the outputs
+    (side="out") and evaluate what is left.
 
-    The basis gadgets are composed into the diagram before contraction,
-    so a wide boundary collapses to a narrow one instead of being
-    enumerated.
+    The pins enter the engine as one-leg tables on the pinned indices,
+    so no diagram is built, and a wide boundary collapses to a narrow
+    one instead of being enumerated.
     """
     state = v if isinstance(v, BasisState) else BasisState(bits=tuple(v))
     if side == "in":
         if len(state) != d.n_in:
             raise ArityMismatch(f"state has {len(state)} bits, diagram takes {d.n_in}")
-        plug = tensor_all([basis_state(bool(b)) for b in state.bits])
-        plugged = compose(d, plug)
     elif side == "out":
         if len(state) != d.n_out:
             raise ArityMismatch(f"state has {len(state)} bits, diagram emits {d.n_out}")
-        plug = tensor_all([basis_effect(bool(b)) for b in state.bits])
-        plugged = compose(plug, d)
     else:
         raise ValueError(f"side must be 'in' or 'out', not {side!r}")
-    return evaluate(plugged)
+    return _contract(d, "greedy", side, state.bits)

@@ -35,11 +35,6 @@ class TooManyWires(ValueError):
     in reasonable time."""
 
 
-def _states(width: int):
-    for bits in product((False, True), repeat=width):
-        yield BasisState(bits=bits)
-
-
 def _guard(d1: Diagram, d2: Optional[Diagram] = None) -> None:
     """Raise ArityMismatch if the two diagrams' boundaries differ, then
     TooManyWires if inputs plus outputs exceed DEFAULT_MAX_ENUM."""
@@ -69,11 +64,10 @@ def solve_state_eq(d1: Diagram, d2: Diagram) -> Optional[BasisState]:
     """
     _guard(d1, d2)
     m1, m2 = evaluate(d1), evaluate(d2)
-    rows = [str(row) for row in _states(d1.n_out)]
-    for state in _states(d1.n_in):
-        col = str(state)
+    rows = list(map("".join, product("01", repeat=d1.n_out)))
+    for col in map("".join, product("01", repeat=d1.n_in)):
         if all(m1.entry(row, col) == m2.entry(row, col) for row in rows):
-            return state
+            return BasisState.from_string(col)
     return None
 
 
@@ -88,10 +82,11 @@ def solve_contains_entry(
     """
     _guard(d)
     matrix = evaluate(d)
-    for row in _states(d.n_out):
-        for col in _states(d.n_in):
-            if matrix.entry(str(row), str(col)) == k:
-                return row, col
+    cols = list(map("".join, product("01", repeat=d.n_in)))
+    for row in map("".join, product("01", repeat=d.n_out)):
+        for col in cols:
+            if matrix.entry(row, col) == k:
+                return BasisState.from_string(row), BasisState.from_string(col)
     return None
 
 

@@ -30,6 +30,7 @@ from zhcalc.diagram import (
     generator,
     identity,
     tensor,
+    tensor_all,
 )
 from zhcalc.encode import counting_state, stars
 from zhcalc.evaluate import (
@@ -46,7 +47,8 @@ from zhcalc.evaluate import (
     matrix_tensor,
     scalar_matrix,
 )
-from zhcalc.formula import count_sat
+from zhcalc.formula import SatCompareInstance, count_sat, parse_formula
+from zhcalc.reductions import DyadicK, build_contains_entry
 from zhcalc.scalar import ExactScalar, HALF, ONE, SQRT2, TWO, ZERO
 
 Z = GeneratorKind.WHITE_SPIDER
@@ -356,6 +358,15 @@ def seeded_counting_state(seed: int, n: int, m: int) -> tuple[Diagram, int]:
     return counting_state(phi, cnf.variables), count_sat(phi, cnf.variables)
 
 
+def two_variable_instance() -> SatCompareInstance:
+    return SatCompareInstance(
+        n=2,
+        m=2,
+        psi=parse_formula("(x1 | y1) & (x2 | ~y2)"),
+        rho=parse_formula("z1 & (x1 | z2)"),
+    )
+
+
 class TestPairTables:
     """The engine keeps (a, b) int pairs with one exponent per factor and
     builds ExactScalar only for the entries of the returned matrix."""
@@ -430,15 +441,86 @@ class TestFusedElimination:
         assert evaluate(d) == ExactMatrix(n_out=1, n_in=0, entries=want)
 
 
+class TestScalarAccumulator:
+    """Wireless factors (legless nodes, traced loops, closed bucket
+    results) are multiplied into one running scalar, never joined."""
+
+    def test_legless_nodes(self) -> None:
+        d = tensor_all([stars(400), generator(Z, 0, 0), generator(H, 0, 0)])
+        for order in ("greedy", "sequential"):
+            assert evaluate(d, order=order) == scalar_matrix(ExactScalar(-2, 0, 400))
+
+    def test_legless_white_not_zeroes_an_open_diagram(self) -> None:
+        d = tensor(generator(H, 2, 2), generator(ZNOT, 0, 0))
+        got = evaluate(d)
+        assert (got.n_out, got.n_in) == (2, 2) and got.is_zero
+
+    def test_joins_are_wired(self, monkeypatch) -> None:
+        d, _ = seeded_counting_state(1, 6, 12)
+        built = build_contains_entry(two_variable_instance(), DyadicK(0, 0))
+        calls = []
+        join = evaluate_module._join
+
+        def recording(f1, f2, summed):
+            calls.append((f1, f2, set(summed)))
+            return join(f1, f2, summed)
+
+        monkeypatch.setattr(evaluate_module, "_join", recording)
+        evaluate(d)
+        evaluate(built)
+        apply_basis(built, (0, 1), "in")
+        assert calls
+        for f1, f2, summed in calls:
+            assert f2.wires, "a wireless right operand"
+            if not f1.wires:
+                # The unit factor, partnering a lone owner of the index
+                # it sums out.
+                assert (f1.table, f1.e) == ({(): (1, 0)}, 0)
+                assert len(summed) == 1 and summed <= set(f2.wires)
+
+
 class TestApplyBasis:
     def test_identity_column(self) -> None:
         got = apply_basis(identity(1), BasisState(bits=(1,)), "in")
         assert got.entries == {("1", ""): ONE}
 
+    def test_only_unpinned_wires_count_against_the_bound(self) -> None:
+        bits = (1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 1, 1)
+        got = apply_basis(identity(12), bits, "in")
+        assert got == ExactMatrix(
+            n_out=12, n_in=0, entries={("".join(map(str, bits)), ""): ONE}
+        )
+        with pytest.raises(TooLarge):
+            evaluate(identity(12))
+
+    def test_two_pins_on_one_index(self) -> None:
+        cap = generator(Z, 2, 0)
+        assert apply_basis(cap, (0, 1), "in").is_zero
+        assert apply_basis(cap, (1, 1), "in") == scalar_matrix(ONE)
+
+    def test_boundary_to_boundary_wires(self) -> None:
+        # in0 -> out1, in1 -> out0, and in2 -> out2 through an H box.
+        d = tensor(
+            Diagram(
+                nodes=(),
+                edges=(
+                    (BoundaryPort("in", 0), BoundaryPort("out", 1)),
+                    (BoundaryPort("in", 1), BoundaryPort("out", 0)),
+                ),
+                n_in=2,
+                n_out=2,
+            ),
+            generator(H, 1, 1),
+        )
+        column = apply_basis(d, (1, 0, 1), "in")
+        assert column.entries == {("010", ""): ONE, ("011", ""): -ONE}
+        row = apply_basis(d, (0, 1, 0), "out")
+        assert row.entries == {("", "100"): ONE, ("", "101"): ONE}
+
     def test_matches_matrix_route(self) -> None:
         rng = random.Random(55)
-        for _ in range(60):
-            d = random_diagram(rng, max_nodes=3, max_wires=2, max_degree=3)
+        for _ in range(300):
+            d = random_diagram(rng)
             mat = evaluate(d)
             for bits in product((0, 1), repeat=d.n_in):
                 column = ExactMatrix(
@@ -454,6 +536,16 @@ class TestApplyBasis:
                     entries={("", "".join(map(str, bits))): ONE},
                 )
                 assert apply_basis(d, bits, "out") == matrix_compose(rowvec, mat)
+
+    def test_builds_no_diagram(self, monkeypatch) -> None:
+        built = build_contains_entry(two_variable_instance(), DyadicK(3, 2))
+        want = evaluate(built).entry("", "10")
+
+        def refuse(self) -> None:
+            raise AssertionError("apply_basis built a diagram")
+
+        monkeypatch.setattr(Diagram, "__post_init__", refuse)
+        assert apply_basis(built, (1, 0), "in").entry("", "") == want != ZERO
 
     def test_arity_checks(self) -> None:
         with pytest.raises(ArityMismatch):

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+import zhcalc.reductions as reductions
 from zhcalc.corpus import random_formula
 from zhcalc.diagram import ArityMismatch, GeneratorKind, identity
 from zhcalc.evaluate import apply_basis, evaluate, identity_matrix, matrix_compose
@@ -233,6 +234,16 @@ class TestBuildContainsEntry:
         wrong = build_state_eq(inst).d1
         with pytest.raises(ContractViolation):
             _check_contains_entry(wrong, inst, DyadicK(0, 0))
+
+    def test_self_check_catches_a_broken_builder(self, monkeypatch) -> None:
+        # A scalar gadget off by a factor of two (c/2^(d+1) for c/2^d)
+        # must be caught by the builder's own pinned self-check.
+        original = reductions.dyadic_scalar
+        monkeypatch.setattr(
+            reductions, "dyadic_scalar", lambda k: original(DyadicK(k.c, k.d + 1))
+        )
+        with pytest.raises(ContractViolation):
+            build_contains_entry(worked_instance(), DyadicK(3, 2))
 
     def test_emits_atomic_generators_only(self) -> None:
         built = build_contains_entry(worked_instance(), DyadicK(-3, 2))
