@@ -443,7 +443,9 @@ def _contract(
     for i in [i for i, fids in holders.items() if not fids and i not in open_indices]:
         del holders[i]
         legless[GeneratorKind.WHITE_SPIDER] += 1
-    wireless = [(_node_factor(kind, (), templates), n) for kind, n in legless.items()]
+    wireless: list[_Factor] = []
+    for kind, n in legless.items():
+        wireless += [_node_factor(kind, (), templates)] * n
 
     # Bucket elimination: pop the cheapest closed index, join its owners
     # from the first, and sum it out at the last join; a lone owner sums
@@ -470,7 +472,7 @@ def _contract(
         for k, factor in enumerate(rest, 1):
             joined = _join(joined, factor, {i} if k == len(rest) else set())
         if not joined.wires:
-            wireless.append((joined, 1))
+            wireless.append(joined)
             continue
         for j in joined.wires:
             holders[j].difference_update(owner_ids)
@@ -488,11 +490,10 @@ def _contract(
         combined = _join(combined, factor, set())
     free = sorted(open_indices - set(combined.wires))
     sa, sb, se = 1, 0, 0
-    for factor, times in wireless:
+    for factor in wireless:
         fa, fb = factor.table.get((), (0, 0))  # an empty table is zero
-        for _ in range(times):
-            sa, sb = sa * fa + 2 * sb * fb, sa * fb + sb * fa
-        se += times * factor.e
+        sa, sb = sa * fa + 2 * sb * fb, sa * fb + sb * fa
+        se += factor.e
 
     entries: dict[tuple[str, str], ExactScalar] = {}
     for key, (a, b) in combined.table.items() if sa or sb else ():

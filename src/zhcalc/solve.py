@@ -67,7 +67,8 @@ def solve_state_eq(d1: Diagram, d2: Diagram) -> Optional[BasisState]:
     rows = list(map("".join, product("01", repeat=d1.n_out)))
     for col in map("".join, product("01", repeat=d1.n_in)):
         if all(m1.entry(row, col) == m2.entry(row, col) for row in rows):
-            return BasisState.from_string(col)
+            state = BasisState.from_string(col)
+            return state
     return None
 
 
