@@ -35,13 +35,13 @@ from .reductions import (
     build_circuit_extraction,
     build_contains_entry,
     build_state_eq,
+    verify_instance,
 )
 from .scalar import ExactScalar
 from .solve import (
     compare_diagrams,
     is_zero,
     solve_contains_entry,
-    solve_sat_compare,
     solve_state_eq,
 )
 
@@ -191,33 +191,6 @@ def _cmd_solve_is_zero(args: argparse.Namespace) -> int:
     return _verdict(is_zero(_load_diagram(args.diagram)), None, None)
 
 
-def _witness_bits(inst: SatCompareInstance, valuation) -> Optional[str]:
-    if valuation is None:
-        return None
-    return "".join("1" if valuation[x] else "0" for x in inst.x_vars)
-
-
-def _verify_instance(inst: SatCompareInstance) -> list[str]:
-    """Run the full reduction/oracle agreement; return failure notes."""
-    failures: list[str] = []
-    expected = _witness_bits(inst, solve_sat_compare(inst))
-
-    pair = build_state_eq(inst)
-    witness = solve_state_eq(pair.d1, pair.d2)
-    got = None if witness is None else str(witness)
-    if got != expected:
-        failures.append(f"state-eq found {got!r}, oracle says {expected!r}")
-
-    for k in (DyadicK(0, 0), DyadicK(1, 0), DyadicK(3, 2)):
-        hit = solve_contains_entry(build_contains_entry(inst, k), k.value)
-        got = None if hit is None else str(hit[1])
-        if got != expected:
-            failures.append(
-                f"contains-entry k={k} found {got!r}, oracle says {expected!r}"
-            )
-    return failures
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.instance is None and not args.random:
         print("error: give an instance file or --random N", file=sys.stderr)
@@ -231,7 +204,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     bad = 0
     for label, inst in labelled:
-        failures = _verify_instance(inst)
+        failures = verify_instance(inst)
         if failures:
             bad += 1
             for note in failures:

@@ -2,20 +2,24 @@
 
 Each logic block has a declared target matrix (``gate_target``) and a
 generator-only realization (``gate_gadget``); the soundness tests pin the
-two together through the evaluator. ``encode_formula`` wires gadgets along
-the formula tree, fanning each variable out of one white spider, and
-``counting_state`` closes the variable wires with |0>+|1> plugs so the
-single output wire carries the model count. ``counting_branch`` closes
-only some of them, and ``stars`` and ``two_root_two`` are the closed
-scalars the reductions normalize with.
+two together through the evaluator, and the encoder wires nothing else.
+``counting_branch`` builds in one pass: a BOTH plug per summed variable,
+a white fan-out spider per variable (first leg plugged or opened as an
+input), then one spliced copy of ``gate_gadget`` per formula node, each
+use of a variable taking its fan's next leg. ``encode_formula`` sums
+nothing; ``counting_state`` sums everything, so its one output wire
+carries the model count. ``stars`` and ``two_root_two`` are the closed
+scalars the NOT gadget and the reductions normalize with.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import cache
 from typing import Sequence
 
 from .diagram import (
+    BoundaryPort,
     Diagram,
     DiagramBuilder,
     GeneratorKind,
@@ -24,7 +28,6 @@ from .diagram import (
     basis_state,
     compose,
     generator,
-    identity,
     tensor,
     tensor_all,
 )
@@ -87,6 +90,7 @@ def two_root_two() -> Diagram:
     )
 
 
+@cache
 def gate_gadget(block: GateBlock) -> Diagram:
     """A generator-only diagram whose evaluation is the block's target."""
     z = GeneratorKind.WHITE_SPIDER
@@ -103,11 +107,11 @@ def gate_gadget(block: GateBlock) -> Diagram:
     if block is GateBlock.NOT:
         # Two stars bring the loop's 2*sqrt(2) down to 1/sqrt(2).
         flip = generator(GeneratorKind.DARK_NOT, 1, 1)
-        return tensor(flip, tensor(stars(2), two_root_two()))
+        return tensor_all([flip, two_root_two(), stars(2)])
     if block is GateBlock.AND:
         h_small = generator(GeneratorKind.H_BOX, 1, 1)
         h_wide = generator(GeneratorKind.H_BOX, 2, 1)
-        return tensor(generator(GeneratorKind.STAR, 0, 0), compose(h_small, h_wide))
+        return tensor(compose(h_small, h_wide), generator(GeneratorKind.STAR, 0, 0))
     if block is GateBlock.OR:
         flip = gate_gadget(GateBlock.NOT)
         inner = compose(gate_gadget(GateBlock.AND), tensor(flip, flip))
@@ -115,75 +119,45 @@ def gate_gadget(block: GateBlock) -> Diagram:
     raise ValueError(f"unknown block {block}")
 
 
-def _count_occurrences(phi: Formula, counts: dict[str, int]) -> None:
+def _splice(
+    builder: DiagramBuilder, gadget: Diagram, inputs: Sequence[NodePort]
+) -> NodePort:
+    """Copy the one-output ``gadget`` into ``builder``, node by node and
+    leg by leg, wired to ``inputs``; return the leg at its output. Edges
+    are canonical: an input end comes first, the output end last."""
+    legs = []
+    for node in gadget.nodes:
+        node_id = builder.node(node.kind)
+        legs.append([builder.leg(node_id) for _ in range(node.degree)])
+    output = None
+    for a, b in gadget.edges:
+        near = inputs[a.pos] if isinstance(a, BoundaryPort) else legs[a.node][a.port]
+        if isinstance(b, BoundaryPort):
+            output = near
+        else:
+            builder.connect(near, legs[b.node][b.port])
+    return output
+
+
+def _emit(builder: DiagramBuilder, phi: Formula, fans: dict[str, int]) -> NodePort:
+    """Splice the gadgets of the desugared ``phi``; return its output leg.
+    Each use of a variable takes the next leg of that variable's fan."""
     match phi:
         case Var(name):
-            if name not in counts:
-                raise UnassignedVariable(f"{name} is not in the variable list")
-            counts[name] += 1
-        case Const():
-            pass
+            return builder.leg(fans[name])
+        case Or(left, right):
+            # Four splices, as gate_gadget(OR) composes NOT(AND(NOT, NOT)).
+            return _emit(builder, Not(And(Not(left), Not(right))), fans)
+        case Const(value):
+            block, children = (GateBlock.TRUE if value else GateBlock.FALSE), ()
         case Not(child):
-            _count_occurrences(child, counts)
-        case And(left, right) | Or(left, right):
-            _count_occurrences(left, counts)
-            _count_occurrences(right, counts)
+            block, children = GateBlock.NOT, (child,)
+        case And(left, right):
+            block, children = GateBlock.AND, (left, right)
         case _:
             raise TypeError(f"not a desugared formula: {phi!r}")
-
-
-class _Emitter:
-    """Walks a desugared formula tree, emitting gadget wiring into one
-    shared builder. Variable reads pull the next free leg off that
-    variable's fan-out spider."""
-
-    def __init__(self, builder: DiagramBuilder, pools: dict[str, list[NodePort]]):
-        self.b = builder
-        self.pools = pools
-
-    def emit(self, phi: Formula) -> NodePort:
-        match phi:
-            case Var(name):
-                return self.pools[name].pop()
-            case Const(value):
-                return self._emit_const(value)
-            case Not(child):
-                return self._emit_not(self.emit(child))
-            case And(left, right):
-                return self._emit_and(self.emit(left), self.emit(right))
-            case Or(left, right):
-                lo = self._emit_not(self.emit(left))
-                hi = self._emit_not(self.emit(right))
-                return self._emit_not(self._emit_and(lo, hi))
-        raise TypeError(f"not a desugared formula: {phi!r}")
-
-    def _emit_const(self, value: bool) -> NodePort:
-        self.b.star()
-        kind = GeneratorKind.DARK_NOT if value else GeneratorKind.DARK_SPIDER
-        return self.b.leg(self.b.node(kind))
-
-    def _emit_not(self, arg: NodePort) -> NodePort:
-        flip = self.b.node(GeneratorKind.DARK_NOT)
-        self.b.connect(arg, self.b.leg(flip))
-        self._emit_inv_sqrt2()
-        return self.b.leg(flip)
-
-    def _emit_inv_sqrt2(self) -> None:
-        cup = self.b.node(GeneratorKind.WHITE_SPIDER)
-        cap = self.b.node(GeneratorKind.DARK_SPIDER)
-        self.b.connect(self.b.leg(cup), self.b.leg(cap))
-        self.b.connect(self.b.leg(cup), self.b.leg(cap))
-        self.b.star()
-        self.b.star()
-
-    def _emit_and(self, left: NodePort, right: NodePort) -> NodePort:
-        wide = self.b.node(GeneratorKind.H_BOX)
-        self.b.connect(left, self.b.leg(wide))
-        self.b.connect(right, self.b.leg(wide))
-        small = self.b.node(GeneratorKind.H_BOX)
-        self.b.connect(self.b.leg(wide), self.b.leg(small))
-        self.b.star()
-        return self.b.leg(small)
+    args = [_emit(builder, child, fans) for child in children]
+    return _splice(builder, gate_gadget(block), args)
 
 
 def encode_formula(phi: Formula, variables: Sequence[str]) -> Diagram:
@@ -194,27 +168,7 @@ def encode_formula(phi: Formula, variables: Sequence[str]) -> Diagram:
     variables are discarded through a one-leg white spider, which keeps
     counting uses well-scaled.
     """
-    names = list(variables)
-    if len(set(names)) != len(names):
-        raise ValueError("variable names must be distinct")
-    missing = [v for v in formula_vars(phi) if v not in names]
-    if missing:
-        raise UnassignedVariable(f"{missing[0]} is not in the variable list")
-    lowered = eliminate_arrows(phi)
-    counts = {name: 0 for name in names}
-    _count_occurrences(lowered, counts)
-
-    builder = DiagramBuilder()
-    boundary_legs: list[NodePort] = []
-    pools: dict[str, list[NodePort]] = {}
-    for name in names:
-        fan = builder.node(GeneratorKind.WHITE_SPIDER)
-        boundary_legs.append(builder.leg(fan))
-        legs = [builder.leg(fan) for _ in range(counts[name])]
-        legs.reverse()  # pops come off in allocation order
-        pools[name] = legs
-    out_leg = _Emitter(builder, pools).emit(lowered)
-    return builder.finish(inputs=boundary_legs, outputs=[out_leg])
+    return counting_branch(phi, variables, ())
 
 
 def counting_branch(
@@ -222,9 +176,20 @@ def counting_branch(
 ) -> Diagram:
     """Encode ``phi`` with the ``summed`` variables driven by BOTH
     states, leaving the ``opened`` wires as inputs."""
-    enc = encode_formula(phi, list(opened) + list(summed))
-    plugs = tensor_all([gate_gadget(GateBlock.BOTH)] * len(summed))
-    return compose(enc, tensor(identity(len(opened)), plugs))
+    names = list(opened) + list(summed)
+    if len(set(names)) != len(names):
+        raise ValueError("variable names must be distinct")
+    missing = [v for v in formula_vars(phi) if v not in names]
+    if missing:
+        raise UnassignedVariable(f"{missing[0]} is not in the variable list")
+    builder = DiagramBuilder()
+    plugs = [_splice(builder, gate_gadget(GateBlock.BOTH), ()) for _ in summed]
+    fans = {name: builder.node(GeneratorKind.WHITE_SPIDER) for name in names}
+    firsts = [builder.leg(fans[name]) for name in names]
+    for plug, first in zip(plugs, firsts[len(opened):]):
+        builder.connect(plug, first)
+    out_leg = _emit(builder, eliminate_arrows(phi), fans)
+    return builder.finish(inputs=firsts[: len(opened)], outputs=[out_leg])
 
 
 def counting_state(phi: Formula, variables: Sequence[str]) -> Diagram:

@@ -424,6 +424,7 @@ class SatCompareInstance:
 
     The decision problem: is there an assignment v of x1..xn with
     count_sat(psi[v], y1..ym) == count_sat(rho[v], z1..zm)?
+    Both n and m are at most ``DEFAULT_MAX_VARS``.
     """
 
     n: int
@@ -434,6 +435,10 @@ class SatCompareInstance:
     def __post_init__(self) -> None:
         if self.n < 0 or self.m < 0:
             raise ValueError(f"n and m must be non-negative, not {self.n} and {self.m}")
+        if max(self.n, self.m) > DEFAULT_MAX_VARS:
+            raise TooManyVariables(
+                f"n {_brief(self.n)} and m {_brief(self.m)}: each may be at most {DEFAULT_MAX_VARS}"
+            )
         allowed_psi = set(self.x_vars) | set(self.y_vars)
         allowed_rho = set(self.x_vars) | set(self.z_vars)
         bad_psi = set(formula_vars(self.psi)) - allowed_psi

@@ -10,7 +10,9 @@ a one-wire block that is always proportional to a unitary.
 Every builder emits atomic generators only, and the two instance
 builders double-check themselves on one pseudo-random basis input
 before returning, so a normalization slip fails at construction time
-rather than in a downstream solver.
+rather than in a downstream solver.  ``verify_instance`` runs both
+instance reductions through the brute-force solvers against the
+formula oracle; the CLI's ``verify`` and the acceptance suite share it.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .formula import (
     substitute,
 )
 from .scalar import ExactScalar
+from .solve import solve_contains_entry, solve_sat_compare, solve_state_eq
 
 
 class ContractViolation(RuntimeError):
@@ -301,3 +304,34 @@ def build_circuit_extraction(phi: Formula, variables: Sequence[str]) -> Diagram:
 
     names = list(variables)
     return compose(core, tensor(identity(1), counting_state(phi, names)))
+
+
+# -- verification -------------------------------------------------------------
+
+
+def verify_instance(inst: SatCompareInstance) -> list[str]:
+    """Check both instance reductions against the formula oracle.
+
+    The state-eq pair and the contains-entry diagrams for k = 0, 1 and
+    3/4 must each give their first witness at the first valuation
+    ``solve_sat_compare`` finds, or none when it finds none.  Returns
+    one note per disagreement; an empty list means all four agree.
+    """
+    answer = solve_sat_compare(inst)
+    expected = (
+        None if answer is None else "".join("1" if answer[x] else "0" for x in inst.x_vars)
+    )
+    failures: list[str] = []
+    pair = build_state_eq(inst)
+    witness = solve_state_eq(pair.d1, pair.d2)
+    got = None if witness is None else str(witness)
+    if got != expected:
+        failures.append(f"state-eq found {got!r}, oracle says {expected!r}")
+    for k in (DyadicK(0, 0), DyadicK(1, 0), DyadicK(3, 2)):
+        hit = solve_contains_entry(build_contains_entry(inst, k), k.value)
+        got = None if hit is None else str(hit[1])
+        if got != expected:
+            failures.append(
+                f"contains-entry k={k} found {got!r}, oracle says {expected!r}"
+            )
+    return failures

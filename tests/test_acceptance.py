@@ -34,9 +34,10 @@ from zhcalc.reductions import (
     build_circuit_extraction,
     build_contains_entry,
     build_state_eq,
+    verify_instance,
 )
 from zhcalc.scalar import ExactScalar, ZERO
-from zhcalc.solve import solve_contains_entry, solve_sat_compare, solve_state_eq
+from zhcalc.solve import solve_contains_entry, solve_state_eq
 
 
 def _finish(tag: str, failures: list[str]) -> None:
@@ -154,27 +155,9 @@ def test_06_circuit_extraction_block() -> None:
 def test_07_oracle_equivalence_suite() -> None:
     failures = []
     rng = random.Random(424242)
-    ks = [DyadicK(0, 0), DyadicK(1, 0), DyadicK(3, 2)]
     for index in range(100):
-        inst = random_sat_compare(rng)
-        answer = solve_sat_compare(inst)
-        expected = (
-            None
-            if answer is None
-            else "".join("1" if answer[x] else "0" for x in inst.x_vars)
-        )
-
-        pair = build_state_eq(inst)
-        witness = solve_state_eq(pair.d1, pair.d2)
-        got = None if witness is None else str(witness)
-        if got != expected:
-            failures.append(f"[{index}] state-eq {got!r} vs {expected!r}")
-
-        for k in ks:
-            hit = solve_contains_entry(build_contains_entry(inst, k), k.value)
-            got = None if hit is None else str(hit[1])
-            if got != expected:
-                failures.append(f"[{index}] k={k} {got!r} vs {expected!r}")
+        notes = verify_instance(random_sat_compare(rng))
+        failures.extend(f"[{index}] {note}" for note in notes)
     _finish("check 7 (oracle equivalence, 100 instances)", failures)
 
 

@@ -38,6 +38,10 @@ def diagram_file(tmp_path, name: str, diagram: Diagram) -> str:
     return write_json(tmp_path / name, diagram.to_json())
 
 
+def _never_name(inst):
+    raise AssertionError("variable names were built")
+
+
 def _never_enumerate(kind, degree):
     raise AssertionError(f"enumerated the support of a degree-{degree} {kind}")
 
@@ -194,6 +198,16 @@ class TestVerify:
         assert main(["verify", "--random", "2", "--seed", "5"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_reports_a_failing_reduction(self, tmp_path, capsys, monkeypatch) -> None:
+        reductions = sys.modules["zhcalc.reductions"]
+        monkeypatch.setattr(reductions, "solve_state_eq", lambda d1, d2: None)
+        assert main(["verify", worked_instance_file(tmp_path)]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if "FAIL" in line] == [
+            f"{tmp_path / 'inst.json'}: FAIL state-eq found None, oracle says '0'"
+        ]
+        assert out[-1] == "verified 1 instance(s), 1 failure(s)"
+
     def test_requires_some_input(self, capsys) -> None:
         assert main(["verify"]) == 2
         assert "instance file or --random" in capsys.readouterr().err
@@ -280,6 +294,18 @@ class TestErrors:
     def test_malformed_instance(self, tmp_path, capsys, command, patch) -> None:
         document = json.loads(Path(worked_instance_file(tmp_path)).read_text())
         path = write_json(tmp_path / "bad.json", document | patch)
+        assert main(command + [path]) == 2
+        self._assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", [["reduce", "state-eq"], ["verify"]])
+    @pytest.mark.parametrize("patch", [{"n": 10**8}, {"m": 10**8}])
+    def test_oversized_instance(self, tmp_path, capsys, monkeypatch, command, patch) -> None:
+        # The refusal must come before any variable name is built; a
+        # regression fails here instead of building 10**8 names.
+        for attr in ("x_vars", "y_vars", "z_vars"):
+            monkeypatch.setattr(SatCompareInstance, attr, property(_never_name))
+        document = json.loads(Path(worked_instance_file(tmp_path)).read_text())
+        path = write_json(tmp_path / "big.json", document | patch)
         assert main(command + [path]) == 2
         self._assert_one_error_line(capsys)
 

@@ -7,8 +7,9 @@ from itertools import product
 
 import pytest
 
+import zhcalc.encode as encode
 from zhcalc.corpus import random_formula
-from zhcalc.diagram import GeneratorKind, generator
+from zhcalc.diagram import GeneratorKind, generator, tensor
 from zhcalc.encode import (
     GateBlock,
     counting_state,
@@ -132,6 +133,22 @@ class TestEncodeFormula:
     def test_rejects_duplicate_listing(self) -> None:
         with pytest.raises(ValueError):
             encode_formula(parse_formula("x1"), ("x1", "x1"))
+
+    def test_consumes_the_gate_library(self, monkeypatch) -> None:
+        # A NOT gadget carrying a legless white spider (worth 2) doubles
+        # the encoding of ~x1 only if the encoder splices the library's
+        # gadgets instead of wiring gates of its own.
+        phi = parse_formula("~x1")
+        plain = evaluate(encode_formula(phi, ("x1",)))
+        real = encode.gate_gadget
+        doubled = tensor(real(GateBlock.NOT), generator(Z, 0, 0))
+        monkeypatch.setattr(
+            encode,
+            "gate_gadget",
+            lambda block: doubled if block is GateBlock.NOT else real(block),
+        )
+        got = evaluate(encode_formula(phi, ("x1",)))
+        assert got == plain.scale(ExactScalar(2, 0, 0))
 
     def test_only_known_generators(self) -> None:
         phi = parse_formula("(x1 <-> x2) | ~x3")

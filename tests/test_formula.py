@@ -201,3 +201,25 @@ def test_sat_compare_instance_json():
     assert SatCompareInstance.from_json(obj) == inst
     with pytest.raises(ValueError):
         SatCompareInstance(n=1, m=1, psi=Var("q7"), rho=Var("z1"))
+
+
+@pytest.mark.parametrize("n, m", [(21, 1), (1, 21)])
+def test_sat_compare_instance_refuses_more_than_the_bound(n, m):
+    with pytest.raises(TooManyVariables):
+        SatCompareInstance(n=n, m=m, psi=Const(True), rho=Const(True))
+
+
+def test_sat_compare_instance_accepts_the_bound():
+    inst = SatCompareInstance(n=20, m=20, psi=Var("x20"), rho=Var("z20"))
+    assert len(inst.x_vars) == 20 and len(inst.z_vars) == 20
+
+
+def test_sat_compare_instance_refuses_before_naming(monkeypatch):
+    # A regression would otherwise build 10**8 names before refusing.
+    def never(self):
+        raise AssertionError("variable names were built")
+
+    for attr in ("x_vars", "y_vars", "z_vars"):
+        monkeypatch.setattr(SatCompareInstance, attr, property(never))
+    with pytest.raises(TooManyVariables):
+        SatCompareInstance.from_json({"n": 10**8, "m": 1, "psi": "x1", "rho": "z1"})

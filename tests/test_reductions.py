@@ -28,6 +28,7 @@ from zhcalc.reductions import (
     build_contains_entry,
     build_state_eq,
     dyadic_scalar,
+    verify_instance,
 )
 from zhcalc.scalar import ExactScalar, ONE, ZERO
 
@@ -300,3 +301,19 @@ class TestBuildCircuitExtraction:
     def test_emits_atomic_generators_only(self) -> None:
         block = build_circuit_extraction(parse_formula("x1 | ~x2"), ["x1", "x2"])
         assert {node.kind for node in block.nodes} <= set(GeneratorKind)
+
+
+class TestVerifyInstance:
+    def test_worked_instance_agrees(self) -> None:
+        assert verify_instance(worked_instance()) == []
+
+    def test_reports_a_broken_state_eq_solver(self, monkeypatch) -> None:
+        monkeypatch.setattr(reductions, "solve_state_eq", lambda d1, d2: None)
+        notes = verify_instance(worked_instance())
+        assert notes == ["state-eq found None, oracle says '0'"]
+
+    def test_reports_a_broken_contains_entry_solver(self, monkeypatch) -> None:
+        monkeypatch.setattr(reductions, "solve_contains_entry", lambda d, k: None)
+        notes = verify_instance(worked_instance())
+        assert len(notes) == 3
+        assert all(note.startswith("contains-entry k=") for note in notes)
