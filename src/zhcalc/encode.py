@@ -23,6 +23,7 @@ from .diagram import (
     Diagram,
     DiagramBuilder,
     GeneratorKind,
+    Node,
     NodePort,
     basis_effect,
     basis_state,
@@ -79,7 +80,8 @@ def gate_target(block: GateBlock) -> ExactMatrix:
 
 def stars(count: int) -> Diagram:
     """``count`` star scalars, together worth 2**-count."""
-    return tensor_all([generator(GeneratorKind.STAR, 0, 0)] * count)
+    star = Node(kind=GeneratorKind.STAR, degree=0)
+    return Diagram(nodes=(star,) * count, edges=(), n_in=0, n_out=0)
 
 
 def two_root_two() -> Diagram:

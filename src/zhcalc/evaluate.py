@@ -3,7 +3,10 @@
 Every generator is a symmetric tensor with entries in the ring handled by
 ``ExactScalar``, so a diagram denotes a matrix indexed by bitstrings over
 its boundary wires. The engine fuses the wires of each white spider and
-white not into one index (ZH spider fusion), then runs bucket elimination
+white not into one index (ZH spider fusion), and the two wires of each
+two-leg dark spider or dark not too, as sqrt(2) times a plain or NOT
+wire: each wire reads its index's bit XOR a parity, and an odd cycle of
+NOT wires makes the diagram zero. It then runs bucket elimination
 over the indices: a factor stores only its nonzero entries, and each
 closed index is summed out once every factor holding it is joined, either
 greedily (fewest indices spanned first) or in edge order. The two orders
@@ -15,7 +18,8 @@ exponent e per factor, each read as (a + b*sqrt(2)) / 2**e, so products
 and sums are int arithmetic; factors without wires are multiplied into
 one scalar instead. Values are canonicalized into ``ExactScalar``
 only on exit, when the ``ExactMatrix`` is assembled. Each generator's
-table is built once per (kind, self-loop pattern) within a call.
+table is built once per (kind, pattern of (slot, parity) legs) within
+a call.
 """
 
 from __future__ import annotations
@@ -261,19 +265,21 @@ class _Factor:
 
 def _node_factor(
     kind: GeneratorKind,
-    slot_wires: Sequence[int],
+    legs: Sequence[tuple[int, int]],
     templates: dict[tuple, tuple[dict, int]],
 ) -> _Factor:
-    """A generator's factor over its distinct incident wires.
+    """A generator's factor over the distinct indices its legs read.
 
-    The table depends only on the kind and the self-loop pattern (slot i
-    holds the pattern[i]-th distinct wire; one entry per leg, so the
-    pattern also fixes the degree). It is built once per pattern and kept
-    in ``templates``, which belongs to one ``evaluate`` call.
+    Leg i reads the bit of index legs[i][0] flipped by the parity
+    legs[i][1]. The table depends only on the kind and the pattern of
+    (slot, parity) pairs (slot i holds the i-th distinct index; one pair
+    per leg, so the pattern also fixes the degree). It is built once per
+    pattern and kept in ``templates``, which belongs to one ``evaluate``
+    call.
     """
-    distinct = tuple(dict.fromkeys(slot_wires))
-    slot_of = {w: i for i, w in enumerate(distinct)}
-    pattern = tuple(slot_of[w] for w in slot_wires)
+    distinct = tuple(dict.fromkeys(i for i, _ in legs))
+    slot_of = {i: s for s, i in enumerate(distinct)}
+    pattern = tuple((slot_of[i], parity) for i, parity in legs)
     key = (kind, pattern)
     if key not in templates:
         templates[key] = _template(kind, pattern, len(distinct))
@@ -282,21 +288,23 @@ def _node_factor(
 
 
 def _template(
-    kind: GeneratorKind, pattern: tuple[int, ...], width: int
+    kind: GeneratorKind, pattern: tuple[tuple[int, int], ...], width: int
 ) -> tuple[dict[tuple[int, ...], tuple[int, int]], int]:
-    """Project a generator's support onto ``width`` distinct wires.
+    """Project a generator's support onto ``width`` distinct indices.
 
-    A self-loop makes one wire occupy two slots; support entries whose
-    slots disagree on that wire vanish, and the survivors are keyed by
-    one bit per distinct wire. Values are put over the largest exponent
-    in the support.
+    Each leg's bit is its slot's index bit XOR its parity. When two legs
+    share a slot (a self-loop, or legs fused into one index), support
+    entries that disagree on that index vanish, and the survivors are
+    keyed by one bit per distinct index. Values are put over the largest
+    exponent in the support.
     """
     support = list(_generator_support(kind, len(pattern)))
     e = max((value.e for _, value in support), default=0)
     table: dict[tuple[int, ...], tuple[int, int]] = {}
     for bits, value in support:
         key: list[int | None] = [None] * width
-        for slot, bit in zip(pattern, bits):
+        for (slot, parity), bit in zip(pattern, bits):
+            bit ^= parity
             if key[slot] is None:
                 key[slot] = bit
             elif key[slot] != bit:
@@ -402,27 +410,55 @@ def _contract(
     del pinned[: len(bits)]
 
     # Spider fusion: the legs of a white spider or white not carry one
-    # bit, so their wires form one index, named by its lowest wire.
+    # bit, so their wires form one index, named by its lowest wire. A
+    # two-leg dark spider is sqrt(2) times a plain wire and a two-leg
+    # dark not sqrt(2) times a NOT wire, so each joins its two wires too,
+    # the not with parity 1. find(w) gives w's index and the parity of w
+    # against it; a union closing an odd cycle makes the diagram zero.
     root = list(range(len(d.edges)))
+    flip = [0] * len(d.edges)
 
-    def find(w: int) -> int:
+    def find(w: int) -> tuple[int, int]:
+        parity = 0
         while root[w] != w:
-            root[w] = w = root[root[w]]
-        return w
+            up = root[w]
+            flip[w] ^= flip[up]
+            root[w] = root[up]
+            parity ^= flip[w]
+            w = root[w]
+        return w, parity
 
+    def union(u: int, v: int, parity: int) -> int:
+        """Join u and v with bit(u) ^ bit(v) == parity; 1 on a conflict."""
+        (a, pa), (b, pb) = find(u), find(v)
+        if a == b:
+            return pa ^ pb ^ parity
+        a, b = sorted((a, b))
+        root[b], flip[b] = a, pa ^ pb ^ parity
+        return 0
+
+    dark = (GeneratorKind.DARK_SPIDER, GeneratorKind.DARK_NOT)
+    odd = 0
     for nid, node in enumerate(d.nodes):
+        legs = node_slots[nid]
         if node.kind in (GeneratorKind.WHITE_SPIDER, GeneratorKind.WHITE_NOT):
-            for w in node_slots[nid][1:]:
-                a, b = sorted((find(node_slots[nid][0]), find(w)))
-                root[b] = a
+            for w in legs[1:]:
+                odd |= union(legs[0], w, 0)
+        elif node.kind in dark and node.degree == 2:
+            odd |= union(*legs, node.kind is GeneratorKind.DARK_NOT)
+    if odd:
+        return ExactMatrix(n_out=len(out_wire), n_in=len(in_wire), entries={})
 
     # A fused white spider is a plain index; a fused white not adds its
-    # sign as a one-leg table. Legless nodes, and closed indices no
-    # factor holds (traced loops, legless white spiders worth 2), are
-    # kept apart as wireless factors, one table per kind.
+    # sign as a one-leg table, and a fused dark one a wireless sqrt(2).
+    # Legless nodes, and closed indices no factor holds (traced loops,
+    # legless white spiders worth 2), are kept apart as wireless factors,
+    # one table per kind. Pins have at most one leg.
     templates: dict[tuple, tuple[dict, int]] = {}
     unit = _Factor(wires=(), table={(): (1, 0)})
+    root2 = _Factor(wires=(), table={(): (0, 1)})
     factors: dict[int, _Factor] = {}
+    wireless: list[_Factor] = []
     legless: Counter[GeneratorKind] = Counter()
     for node, wires in list(zip(d.nodes, node_slots)) + pins:
         if not wires:
@@ -430,20 +466,22 @@ def _contract(
             continue
         if node.kind is GeneratorKind.WHITE_SPIDER:
             continue
+        if node.kind in dark and node.degree == 2:
+            wireless.append(root2)
+            continue
         slots = [find(w) for w in wires]
         if node.kind is GeneratorKind.WHITE_NOT:
             slots = slots[:1]
         factors[len(factors)] = _node_factor(node.kind, slots, templates)
-    holders: dict[int, set[int]] = {find(w): set() for w in range(len(d.edges))}
+    holders: dict[int, set[int]] = {find(w)[0]: set() for w in range(len(d.edges))}
     for fid, factor in factors.items():
         for i in factor.wires:
             holders[i].add(fid)
     in_wire, out_wire = [find(w) for w in in_wire], [find(w) for w in out_wire]
-    open_indices = set(in_wire + out_wire)
+    open_indices = {i for i, _ in in_wire + out_wire}
     for i in [i for i, fids in holders.items() if not fids and i not in open_indices]:
         del holders[i]
         legless[GeneratorKind.WHITE_SPIDER] += 1
-    wireless: list[_Factor] = []
     for kind, n in legless.items():
         wireless += [_node_factor(kind, (), templates)] * n
 
@@ -483,8 +521,8 @@ def _contract(
     # Only open indices remain. Fold the surviving factors into one
     # sparse table, then expand the open indices no factor holds. Values
     # become ExactScalar only here, times the product (sa, sb, se) of the
-    # wireless factors. Each boundary bit is read through its index, so
-    # each (key, free bits) pair lands on its own entry.
+    # wireless factors. Each boundary bit is its index's bit XOR its
+    # parity, so each (key, free bits) pair lands on its own entry.
     combined, *rest = [factors[fid] for fid in sorted(factors)] or [unit]
     for factor in rest:
         combined = _join(combined, factor, set())
@@ -501,8 +539,8 @@ def _contract(
         base = dict(zip(combined.wires, key))
         for fill in product((0, 1), repeat=len(free)):
             assignment = base | dict(zip(free, fill))
-            row = "".join(str(assignment[i]) for i in out_wire)
-            col = "".join(str(assignment[i]) for i in in_wire)
+            row = "".join(str(assignment[i] ^ p) for i, p in out_wire)
+            col = "".join(str(assignment[i] ^ p) for i, p in in_wire)
             entries[(row, col)] = value
     return ExactMatrix(n_out=len(out_wire), n_in=len(in_wire), entries=entries)
 

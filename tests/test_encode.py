@@ -9,13 +9,14 @@ import pytest
 
 import zhcalc.encode as encode
 from zhcalc.corpus import random_formula
-from zhcalc.diagram import GeneratorKind, generator, tensor
+from zhcalc.diagram import Diagram, GeneratorKind, generator, tensor
 from zhcalc.encode import (
     GateBlock,
     counting_state,
     encode_formula,
     gate_gadget,
     gate_target,
+    stars,
 )
 from zhcalc.evaluate import (
     ExactMatrix,
@@ -155,6 +156,27 @@ class TestEncodeFormula:
         d = encode_formula(phi, ("x1", "x2", "x3"))
         assert all(node.kind in GeneratorKind for node in d.nodes)
         assert d.validate() == []
+
+
+class TestStars:
+    def test_builds_one_diagram(self, monkeypatch) -> None:
+        # A fold of ``tensor`` would build, and re-sort, one Diagram per star.
+        built = 0
+        original = Diagram.__post_init__
+
+        def counting(self) -> None:
+            nonlocal built
+            built += 1
+            original(self)
+
+        monkeypatch.setattr(Diagram, "__post_init__", counting)
+        d = stars(20_000)
+        monkeypatch.undo()
+        assert built == 1
+        assert len(d.nodes) == 20_000
+        assert all(n.kind is GeneratorKind.STAR and n.degree == 0 for n in d.nodes)
+        assert (d.edges, d.n_in, d.n_out) == ((), 0, 0)
+        assert evaluate(d) == scalar_matrix(ExactScalar(1, 0, 20_000))
 
 
 class TestCountingState:

@@ -441,6 +441,94 @@ class TestFusedElimination:
         assert evaluate(d) == ExactMatrix(n_out=1, n_in=0, entries=want)
 
 
+def two_leg_dark_nodes(d: Diagram) -> int:
+    return sum(n.kind in (X, XNOT) and n.degree == 2 for n in d.nodes)
+
+
+class TestParityFusion:
+    """A two-leg dark spider is sqrt(2) times a plain wire and a two-leg
+    dark not sqrt(2) times a NOT wire, so the engine joins their wires
+    into one index with a parity bit instead of building a table."""
+
+    def test_matches_brute_force(self) -> None:
+        rng = random.Random(1)
+        checked = 0
+        while checked < 300:
+            d = random_diagram(rng, max_nodes=4, max_wires=2, max_degree=3)
+            if len(d.edges) > 9 or not two_leg_dark_nodes(d):
+                continue
+            want = brute_evaluate(d)
+            for order in ("greedy", "sequential"):
+                assert evaluate(d, order=order).entries == want, (order, d)
+            checked += 1
+
+    @pytest.mark.parametrize("kind", [X, XNOT])
+    @pytest.mark.parametrize("dark_first", [True, False])
+    def test_both_legs_on_one_white_spider(self, kind, dark_first) -> None:
+        # A dark not closes an odd cycle through the spider, and so zeroes
+        # the diagram, whether its union runs before the spider's or after.
+        dark, white = (0, 1) if dark_first else (1, 0)
+        nodes = [None, None]
+        nodes[dark], nodes[white] = Node(kind=kind, degree=2), Node(kind=Z, degree=3)
+        d = Diagram(
+            nodes=tuple(nodes),
+            edges=(
+                (NodePort(node=dark, port=0), NodePort(node=white, port=0)),
+                (NodePort(node=white, port=1), NodePort(node=dark, port=1)),
+                (NodePort(node=white, port=2), BoundaryPort(side="out", pos=0)),
+            ),
+            n_in=0,
+            n_out=1,
+        )
+        got = evaluate(d)
+        assert got.entries == brute_evaluate(d)
+        assert (got.n_out, got.n_in) == (1, 0)
+        assert got.is_zero is (kind is XNOT)
+
+    def test_looped_dark_generators(self) -> None:
+        spider, dark_not = self_looped(X, 1), self_looped(XNOT, 1)
+        assert evaluate(spider) == scalar_matrix(SQRT2 * 2)
+        assert evaluate(spider).entries == brute_evaluate(spider)
+        assert evaluate(dark_not).is_zero
+        assert brute_evaluate(dark_not) == {}
+
+    def test_dark_nots_in_series(self) -> None:
+        one = generator(XNOT, 1, 1)
+        two = compose(one, one)
+        assert evaluate(one).entries == brute_evaluate(one)
+        assert evaluate(two).entries == brute_evaluate(two)
+        assert evaluate(two) == identity_matrix(1).scale(TWO)
+
+    def test_box_legs_with_opposite_parities(self) -> None:
+        # Box legs 0 and 1 read one index, leg 1 through a dark not.
+        d = Diagram(
+            nodes=(Node(kind=H, degree=3), Node(kind=XNOT, degree=2)),
+            edges=(
+                (NodePort(node=0, port=0), NodePort(node=1, port=0)),
+                (NodePort(node=1, port=1), NodePort(node=0, port=1)),
+                (NodePort(node=0, port=2), BoundaryPort(side="out", pos=0)),
+            ),
+            n_in=0,
+            n_out=1,
+        )
+        assert evaluate(d).entries == brute_evaluate(d)
+
+    def test_counting_state_builds_no_two_leg_dark_table(self, monkeypatch) -> None:
+        d, count = seeded_counting_state(1, 6, 12)
+        assert two_leg_dark_nodes(d)
+        kinds = []
+        node_factor = evaluate_module._node_factor
+
+        def recording(kind, legs, templates):
+            kinds.append((kind, len(legs)))
+            return node_factor(kind, legs, templates)
+
+        monkeypatch.setattr(evaluate_module, "_node_factor", recording)
+        assert evaluate(d).entry("1", "") == ExactScalar(count, 0, 0)
+        assert kinds
+        assert (X, 2) not in kinds and (XNOT, 2) not in kinds
+
+
 class TestScalarAccumulator:
     """Wireless factors (legless nodes, traced loops, closed bucket
     results) are multiplied into one running scalar, never joined."""
