@@ -192,6 +192,8 @@ def _cmd_solve_is_zero(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.random < 0:
+        raise ValueError("--random N must be non-negative")
     if args.instance is None and not args.random:
         print("error: give an instance file or --random N", file=sys.stderr)
         return 2

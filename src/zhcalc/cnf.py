@@ -40,6 +40,7 @@ from zhcalc.formula import (
     Not,
     Or,
     Var,
+    _fold,
     eliminate_arrows,
 )
 
@@ -103,23 +104,25 @@ class CnfFormula:
         return Const(True) if conj is None else conj
 
 
-def _nnf(phi: Formula, negate: bool) -> Formula:
-    match phi:
-        case Var(_):
-            return Not(phi) if negate else phi
-        case Const(value):
-            return Const(value != negate)
-        case Not(child):
-            return _nnf(child, not negate)
-        case And(l, r):
-            if negate:
-                return Or(_nnf(l, True), _nnf(r, True))
-            return And(_nnf(l, False), _nnf(r, False))
-        case Or(l, r):
-            if negate:
-                return And(_nnf(l, True), _nnf(r, True))
-            return Or(_nnf(l, False), _nnf(r, False))
-    raise TypeError(f"unexpected node in NNF: {phi!r}")
+def _nnf(phi: Formula) -> Formula:
+    """Negation normal form of an arrow-free formula: each node yields
+    the pair (its NNF, the NNF of its negation)."""
+
+    def rule(node: Formula, *args: tuple[Formula, Formula]) -> tuple[Formula, Formula]:
+        match node, args:
+            case Var(), ():
+                return node, Not(node)
+            case Const(value), ():
+                return node, Const(not value)
+            case Not(), ((positive, negated),):
+                return negated, positive
+            case And(), ((lp, ln), (rp, rn)):
+                return And(lp, rp), Or(ln, rn)
+            case Or(), ((lp, ln), (rp, rn)):
+                return Or(lp, rp), And(ln, rn)
+        raise TypeError(f"unexpected node in NNF: {node!r}")
+
+    return _fold(phi, rule)[0]
 
 
 def to_cnf(phi: Formula, variables: tuple[str, ...] | list[str]) -> CnfFormula:
@@ -132,29 +135,24 @@ def to_cnf(phi: Formula, variables: tuple[str, ...] | list[str]) -> CnfFormula:
     """
     names = tuple(variables)
     index = {name: i for i, name in enumerate(names)}
-    nnf = _nnf(eliminate_arrows(phi), False)
 
-    def clauses_of(node: Formula) -> list[frozenset[Literal]]:
-        match node:
-            case Const(True):
-                return []
-            case Const(False):
-                return [frozenset()]
-            case Var(name):
+    def clauses_of(node: Formula, *args: list[Clause]) -> list[Clause]:
+        match node, args:
+            case Const(value), ():
+                return [] if value else [frozenset()]
+            case Var(name), ():
                 return [frozenset((Literal(index[name], True),))]
-            case Not(Var(name)):
+            case Not(Var(name)), (_,):
                 return [frozenset((Literal(index[name], False),))]
-            case And(l, r):
-                return _capped(clauses_of(l) + clauses_of(r))
-            case Or(l, r):
-                left, right = clauses_of(l), clauses_of(r)
-                merged = [a | b for a in left for b in right]
-                return _capped(merged)
+            case And(), (left, right):
+                return _capped(left + right)
+            case Or(), (left, right):
+                return _capped([a | b for a in left for b in right])
         raise TypeError(f"unexpected node after NNF: {node!r}")
 
     out: list[Clause] = []
     seen = set()
-    for clause in clauses_of(nnf):
+    for clause in _fold(_nnf(eliminate_arrows(phi)), clauses_of):
         if any(Literal(l.index, not l.positive) in clause for l in clause):
             continue
         if clause not in seen:

@@ -41,6 +41,7 @@ from .formula import (
     Or,
     UnassignedVariable,
     Var,
+    _fold,
     eliminate_arrows,
     formula_vars,
 )
@@ -141,25 +142,35 @@ def _splice(
     return output
 
 
+_BLOCKS = {Not: GateBlock.NOT, And: GateBlock.AND}
+
+
+def _and_not(node: Formula, *args: Formula) -> Formula:
+    """An arrow-free node over AND/NOT children, with OR as
+    NOT(AND(NOT, NOT)): the four splices gate_gadget(OR) composes."""
+    if type(node) is Or:
+        return Not(And(Not(args[0]), Not(args[1])))
+    return type(node)(*args) if args else node
+
+
 def _emit(builder: DiagramBuilder, phi: Formula, fans: dict[str, int]) -> NodePort:
-    """Splice the gadgets of the desugared ``phi``; return its output leg.
-    Each use of a variable takes the next leg of that variable's fan."""
-    match phi:
-        case Var(name):
-            return builder.leg(fans[name])
-        case Or(left, right):
-            # Four splices, as gate_gadget(OR) composes NOT(AND(NOT, NOT)).
-            return _emit(builder, Not(And(Not(left), Not(right))), fans)
-        case Const(value):
-            block, children = (GateBlock.TRUE if value else GateBlock.FALSE), ()
-        case Not(child):
-            block, children = GateBlock.NOT, (child,)
-        case And(left, right):
-            block, children = GateBlock.AND, (left, right)
-        case _:
-            raise TypeError(f"not a desugared formula: {phi!r}")
-    args = [_emit(builder, child, fans) for child in children]
-    return _splice(builder, gate_gadget(block), args)
+    """Splice the gadgets of ``phi``'s AND/NOT form in post-order; return
+    its output leg. Each use of a variable takes the next leg of that
+    variable's fan. OR is desugared before the walk, not at its node, so
+    the NOT on its left operand is spliced before the right operand's
+    gadgets, the node order the encoder has always emitted."""
+
+    def rule(node: Formula, *args: NodePort) -> NodePort:
+        kind = type(node)
+        if kind is Var:
+            return builder.leg(fans[node.name])
+        if kind is Const:
+            block = GateBlock.TRUE if node.value else GateBlock.FALSE
+        else:
+            block = _BLOCKS[kind]
+        return _splice(builder, gate_gadget(block), args)
+
+    return _fold(_fold(eliminate_arrows(phi), _and_not), rule)
 
 
 def encode_formula(phi: Formula, variables: Sequence[str]) -> Diagram:
@@ -190,7 +201,7 @@ def counting_branch(
     firsts = [builder.leg(fans[name]) for name in names]
     for plug, first in zip(plugs, firsts[len(opened):]):
         builder.connect(plug, first)
-    out_leg = _emit(builder, eliminate_arrows(phi), fans)
+    out_leg = _emit(builder, phi, fans)
     return builder.finish(inputs=firsts[: len(opened)], outputs=[out_leg])
 
 

@@ -8,14 +8,19 @@ Counting is brute-force enumeration and guarded by a variable bound.
 Concrete syntax: variables match [A-Za-z_][A-Za-z0-9_]*, constants are
 T and F, operators are ~ & | -> <-> with precedence ~ > & > | > -> >
 <-> and right-associative arrows.
+
+Every formula walk (here, in ``cnf`` and in ``encode``) folds a per-node
+rule over one iterative post-order, and the parser runs on explicit
+stacks, so depth is bounded by memory, not by the recursion limit.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Union
+from typing import Callable, Iterator, TypeVar, Union
 
 from .diagram import _brief
 
@@ -84,46 +89,78 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
+_ARITY = {Var: 0, Const: 0, Not: 1, And: 2, Or: 2, Implies: 2, Iff: 2}
+_T = TypeVar("_T")
+
+
+def _postorder(phi: Formula) -> list[Formula]:
+    """Every node of phi, each after its children and left before right;
+    a subtree shared by two parents is listed once per parent."""
+    order = []
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        arity = _ARITY.get(type(node))
+        if arity == 1:
+            stack.append(node.child)
+        elif arity == 2:
+            stack.append(node.left)
+            stack.append(node.right)
+        elif arity is None:
+            raise TypeError(f"not a formula: {node!r}")
+    order.reverse()
+    return order
+
+
+def _fold(phi: Formula, rule: Callable[..., _T]) -> _T:
+    """``rule(node, *child_results)`` for every node of phi in post-order;
+    returns the root's result."""
+    results: list[_T] = []
+    for node in _postorder(phi):
+        arity = _ARITY[type(node)]
+        if arity == 2:
+            right = results.pop()
+            results[-1] = rule(node, results[-1], right)
+        elif arity == 1:
+            results[-1] = rule(node, results[-1])
+        else:
+            results.append(rule(node))
+    return results[0]
+
+
+_TRUTH = {And: operator.and_, Or: operator.or_, Implies: operator.le, Iff: operator.eq}
+
+
+def _truth(program: list[Formula], valuation: Valuation) -> bool:
+    """Run a post-order node list as a postfix program over one valuation.
+    Every variable is read, including those in a branch whose value is
+    already decided."""
+    stack = []
+    try:
+        for node in program:
+            kind = type(node)
+            if kind is Var:
+                stack.append(valuation[node.name])
+            elif kind is Const:
+                stack.append(node.value)
+            elif kind is Not:
+                stack[-1] = not stack[-1]
+            else:
+                right = stack.pop()
+                stack[-1] = _TRUTH[kind](stack[-1], right)
+    except KeyError as exc:
+        raise UnassignedVariable(exc.args[0]) from None
+    return stack[0]
+
+
 def eval_formula(phi: Formula, valuation: Valuation) -> bool:
-    match phi:
-        case Var(name):
-            try:
-                return valuation[name]
-            except KeyError:
-                raise UnassignedVariable(name) from None
-        case Const(value):
-            return value
-        case Not(child):
-            return not eval_formula(child, valuation)
-        case And(left, right):
-            return eval_formula(left, valuation) and eval_formula(right, valuation)
-        case Or(left, right):
-            return eval_formula(left, valuation) or eval_formula(right, valuation)
-        case Implies(left, right):
-            return (not eval_formula(left, valuation)) or eval_formula(right, valuation)
-        case Iff(left, right):
-            return eval_formula(left, valuation) == eval_formula(right, valuation)
-    raise TypeError(f"not a formula: {phi!r}")
+    return _truth(_postorder(phi), valuation)
 
 
 def formula_vars(phi: Formula) -> tuple[str, ...]:
     """Variables of phi in first-occurrence order, deduplicated."""
-    seen: dict[str, None] = {}
-
-    def walk(node: Formula) -> None:
-        match node:
-            case Var(name):
-                seen.setdefault(name)
-            case Const(_):
-                pass
-            case Not(child):
-                walk(child)
-            case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-                walk(l)
-                walk(r)
-
-    walk(phi)
-    return tuple(seen)
+    return tuple(dict.fromkeys(node.name for node in _postorder(phi) if type(node) is Var))
 
 
 def substitute(phi: Formula, valuation: Valuation) -> Formula:
@@ -134,47 +171,34 @@ def substitute(phi: Formula, valuation: Valuation) -> Formula:
     <->), so the result may lose further variables than just the
     substituted ones, e.g. (x1 | T) folds to T.
     """
-    match phi:
-        case Var(name):
-            if name in valuation:
+
+    def rule(node: Formula, *args: Formula) -> Formula:
+        match node, args:
+            case Var(name), () if name in valuation:
                 return Const(valuation[name])
-            return phi
-        case Const(_):
-            return phi
-        case Not(child):
-            c = substitute(child, valuation)
-            if isinstance(c, Const):
-                return Const(not c.value)
-            return Not(c)
-        case And(left, right):
-            l, r = substitute(left, valuation), substitute(right, valuation)
-            if isinstance(l, Const):
-                return r if l.value else FALSE
-            if isinstance(r, Const):
-                return l if r.value else FALSE
-            return And(l, r)
-        case Or(left, right):
-            l, r = substitute(left, valuation), substitute(right, valuation)
-            if isinstance(l, Const):
-                return TRUE if l.value else r
-            if isinstance(r, Const):
-                return TRUE if r.value else l
-            return Or(l, r)
-        case Implies(left, right):
-            l, r = substitute(left, valuation), substitute(right, valuation)
-            if isinstance(l, Const):
-                return r if l.value else TRUE
-            if isinstance(r, Const):
-                return TRUE if r.value else _fold_not(l)
-            return Implies(l, r)
-        case Iff(left, right):
-            l, r = substitute(left, valuation), substitute(right, valuation)
-            if isinstance(l, Const):
-                return r if l.value else _fold_not(r)
-            if isinstance(r, Const):
-                return l if r.value else _fold_not(l)
-            return Iff(l, r)
-    raise TypeError(f"not a formula: {phi!r}")
+            case (Var() | Const()), ():
+                return node
+            case Not(), (c,):
+                return _fold_not(c)
+            case And(), (Const(value), r):
+                return r if value else FALSE
+            case And(), (l, Const(value)):
+                return l if value else FALSE
+            case Or(), (Const(value), r):
+                return TRUE if value else r
+            case Or(), (l, Const(value)):
+                return TRUE if value else l
+            case Implies(), (Const(value), r):
+                return r if value else TRUE
+            case Implies(), (l, Const(value)):
+                return TRUE if value else _fold_not(l)
+            case Iff(), (Const(value), r):
+                return r if value else _fold_not(r)
+            case Iff(), (l, Const(value)):
+                return l if value else _fold_not(l)
+        return type(node)(*args)
+
+    return _fold(phi, rule)
 
 
 def _fold_not(phi: Formula) -> Formula:
@@ -185,40 +209,30 @@ def _fold_not(phi: Formula) -> Formula:
 
 def eliminate_arrows(phi: Formula) -> Formula:
     """Rewrite -> and <-> into and/or/not; the value is unchanged."""
-    match phi:
-        case Var() | Const():
-            return phi
-        case Not(child):
-            return Not(eliminate_arrows(child))
-        case And(left, right):
-            return And(eliminate_arrows(left), eliminate_arrows(right))
-        case Or(left, right):
-            return Or(eliminate_arrows(left), eliminate_arrows(right))
-        case Implies(left, right):
-            return Or(Not(eliminate_arrows(left)), eliminate_arrows(right))
-        case Iff(left, right):
-            a, b = eliminate_arrows(left), eliminate_arrows(right)
-            return And(Or(Not(a), b), Or(a, Not(b)))
-    raise TypeError(f"not a formula: {phi!r}")
+
+    def rule(node: Formula, *args: Formula) -> Formula:
+        match node, args:
+            case Implies(), (a, b):
+                return Or(Not(a), b)
+            case Iff(), (a, b):
+                return And(Or(Not(a), b), Or(a, Not(b)))
+            case (Var() | Const()), ():
+                return node
+        return type(node)(*args)
+
+    return _fold(phi, rule)
 
 
 def rename_vars(phi: Formula, mapping: dict[str, str]) -> Formula:
-    match phi:
-        case Var(name):
-            return Var(mapping.get(name, name))
-        case Const(_):
-            return phi
-        case Not(child):
-            return Not(rename_vars(child, mapping))
-        case And(l, r):
-            return And(rename_vars(l, mapping), rename_vars(r, mapping))
-        case Or(l, r):
-            return Or(rename_vars(l, mapping), rename_vars(r, mapping))
-        case Implies(l, r):
-            return Implies(rename_vars(l, mapping), rename_vars(r, mapping))
-        case Iff(l, r):
-            return Iff(rename_vars(l, mapping), rename_vars(r, mapping))
-    raise TypeError(f"not a formula: {phi!r}")
+    def rule(node: Formula, *args: Formula) -> Formula:
+        match node:
+            case Var(name):
+                return Var(mapping.get(name, name))
+            case Const():
+                return node
+        return type(node)(*args)
+
+    return _fold(phi, rule)
 
 
 def assignments(variables: tuple[str, ...] | list[str]) -> Iterator[Valuation]:
@@ -245,10 +259,11 @@ def count_sat(phi: Formula, variables: tuple[str, ...] | list[str]) -> int:
     otherwise satisfiable formula.
     """
     names = _bounded(variables)
-    missing = set(formula_vars(phi)) - set(names)
+    program = _postorder(phi)
+    missing = {node.name for node in program if type(node) is Var} - set(names)
     if missing:
         raise UnassignedVariable(", ".join(sorted(missing)))
-    return sum(1 for v in assignments(names) if eval_formula(phi, v))
+    return sum(1 for v in assignments(names) if _truth(program, v))
 
 
 def satisfying_assignments(
@@ -256,9 +271,10 @@ def satisfying_assignments(
 ) -> list[str]:
     """Satisfying assignments as bitstrings in variable-list order."""
     names = _bounded(variables)
+    program = _postorder(phi)
     out = []
     for v in assignments(names):
-        if eval_formula(phi, v):
+        if _truth(program, v):
             out.append("".join("1" if v[n] else "0" for n in names))
     return out
 
@@ -286,113 +302,83 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Formula:
-        phi = self.iff()
-        if self.peek() is not None:
-            raise ParseError(f"trailing input from token {self.pos}: {_brief(self.peek())}")
-        return phi
-
-    def iff(self) -> Formula:
-        left = self.implies()
-        if self.peek() == "<->":
-            self.take()
-            return Iff(left, self.iff())
-        return left
-
-    def implies(self) -> Formula:
-        left = self.disj()
-        if self.peek() == "->":
-            self.take()
-            return Implies(left, self.implies())
-        return left
-
-    def disj(self) -> Formula:
-        node = self.conj()
-        while self.peek() == "|":
-            self.take()
-            node = Or(node, self.conj())
-        return node
-
-    def conj(self) -> Formula:
-        node = self.unary()
-        while self.peek() == "&":
-            self.take()
-            node = And(node, self.unary())
-        return node
-
-    def unary(self) -> Formula:
-        if self.peek() == "~":
-            self.take()
-            return Not(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.take()
-        if tok == "(":
-            phi = self.iff()
-            if self.take() != ")":
-                raise ParseError("expected ')'")
-            return phi
-        if tok == "T":
-            return TRUE
-        if tok == "F":
-            return FALSE
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            return Var(tok)
-        raise ParseError(f"unexpected token {_brief(tok)}")
+_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
+_SYMBOL = {Iff: "<->", Implies: "->", Or: "|", And: "&", Not: "~"}
+_OPERATOR = {symbol: kind for kind, symbol in _SYMBOL.items()}
+_RIGHT_ASSOC = (Implies, Iff)
 
 
 def parse_formula(text: str) -> Formula:
-    return _Parser(_tokenize(text)).parse()
+    """Shunting-yard over explicit operand and operator stacks."""
+    operands: list[Formula] = []
+    operators: list[str] = []  # "(" and operator symbols
+    depth = 0  # the number of "(" on ``operators``
 
+    def reduce_from(min_prec: int) -> None:
+        """Apply stacked operators binding at least ``min_prec``, down to
+        the innermost open parenthesis."""
+        while operators and operators[-1] != "(":
+            kind = _OPERATOR[operators[-1]]
+            if _PREC[kind] < min_prec:
+                return
+            operators.pop()
+            if kind is Not:
+                operands[-1] = Not(operands[-1])
+            else:
+                right = operands.pop()
+                operands[-1] = kind(operands[-1], right)
 
-_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
+    want_operand = True
+    for pos, tok in enumerate(_tokenize(text)):
+        if want_operand:
+            if tok in ("~", "("):
+                depth += tok == "("
+                operators.append(tok)
+            elif tok == ")" or tok in _OPERATOR:
+                raise ParseError(f"unexpected token {_brief(tok)}")
+            else:
+                operands.append(TRUE if tok == "T" else FALSE if tok == "F" else Var(tok))
+                want_operand = False
+        elif tok in _OPERATOR and tok != "~":
+            kind = _OPERATOR[tok]
+            reduce_from(_PREC[kind] + (kind in _RIGHT_ASSOC))
+            operators.append(tok)
+            want_operand = True
+        elif depth and tok == ")":
+            reduce_from(0)
+            operators.pop()
+            depth -= 1
+        elif depth:
+            raise ParseError("expected ')'")
+        else:
+            raise ParseError(f"trailing input from token {pos}: {_brief(tok)}")
+    if want_operand or depth:
+        raise ParseError("unexpected end of input")
+    reduce_from(0)
+    return operands[0]
 
 
 def format_formula(phi: Formula) -> str:
     """Render with minimal parentheses; parse_formula inverts this."""
 
-    def go(node: Formula, min_prec: int) -> str:
-        match node:
-            case Var(name):
-                return name
-            case Const(value):
-                return "T" if value else "F"
-            case Not(child):
-                text = "~" + go(child, _PREC[Not])
-                return f"({text})" if _PREC[Not] < min_prec else text
-            case And(l, r):
-                op, prec, right_assoc = "&", _PREC[And], False
-            case Or(l, r):
-                op, prec, right_assoc = "|", _PREC[Or], False
-            case Implies(l, r):
-                op, prec, right_assoc = "->", _PREC[Implies], True
-            case Iff(l, r):
-                op, prec, right_assoc = "<->", _PREC[Iff], True
-            case _:
-                raise TypeError(f"not a formula: {node!r}")
-        if right_assoc:
-            text = f"{go(l, prec + 1)} {op} {go(r, prec)}"
-        else:
-            text = f"{go(l, prec)} {op} {go(r, prec + 1)}"
+    def operand(text: str, prec: int, min_prec: int) -> str:
         return f"({text})" if prec < min_prec else text
 
-    return go(phi, 0)
+    def rule(node: Formula, *args: tuple[str, int]) -> tuple[str, int]:
+        kind = type(node)
+        if kind is Var:
+            return node.name, 6
+        if kind is Const:
+            return ("T" if node.value else "F"), 6
+        prec = _PREC[kind]
+        if kind is Not:
+            return "~" + operand(*args[0], prec), prec
+        right_assoc = kind in _RIGHT_ASSOC
+        left = operand(*args[0], prec + right_assoc)
+        right = operand(*args[1], prec + (not right_assoc))
+        return f"{left} {_SYMBOL[kind]} {right}", prec
+
+    return _fold(phi, rule)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from zhcalc.cli import _parse_k, main
 from zhcalc.diagram import Diagram, compose, generator, GeneratorKind, tensor
 from zhcalc.encode import GateBlock, encode_formula, gate_gadget
 from zhcalc.evaluate import ExactMatrix, evaluate
-from zhcalc.formula import SatCompareInstance, parse_formula
+from zhcalc.formula import SatCompareInstance, count_sat, parse_formula
 from zhcalc.reductions import DyadicK, dyadic_scalar
 from zhcalc.scalar import ExactScalar
 
@@ -65,6 +65,25 @@ class TestParseK:
 
 
 class TestCount:
+    # 3,000 levels, far deeper than the interpreter's recursion limit; each
+    # shape with its model count over x1 x2. (A <-> chain doubles the
+    # encoded tree at every level, so it stays out.)
+    @pytest.mark.parametrize(
+        "text, models",
+        [
+            ("~" * 3000 + "x1", 2),
+            ("(" * 3000 + "x1" + ")" * 3000, 2),
+            (" & ".join(["x1", "x2"] * 1500), 1),
+            (" | ".join(["x1", "x2"] * 1500), 3),
+            (" -> ".join(["x1", "x2"] * 1500), 4),
+        ],
+        ids=["not", "parens", "and", "or", "implies"],
+    )
+    def test_deep_formula(self, capsys, text, models) -> None:
+        assert main(["count", text, "--vars", "x1,x2"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:] == [f"count: {models}", f"oracle: {models}"]
+
     def test_running_example(self, capsys) -> None:
         code = main(["count", "(x1 & x2) & (x1 & ~x3)", "--vars", "x1,x2,x3"])
         out = capsys.readouterr().out.splitlines()
@@ -211,6 +230,23 @@ class TestVerify:
     def test_requires_some_input(self, capsys) -> None:
         assert main(["verify"]) == 2
         assert "instance file or --random" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("with_file", [False, True], ids=["random-only", "with-file"])
+    def test_refuses_a_negative_count(self, tmp_path, capsys, with_file) -> None:
+        files = [worked_instance_file(tmp_path)] if with_file else []
+        assert main(["verify", *files, "--random", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --random N must be non-negative\n"
+
+    def test_deep_instance(self, tmp_path, capsys) -> None:
+        # psi is 2,000 y1 conjuncts: a left-nested tree 2,000 levels deep.
+        path = write_json(
+            tmp_path / "deep.json",
+            {"n": 1, "m": 1, "psi": " & ".join(["y1"] * 2000), "rho": "z1"},
+        )
+        assert main(["verify", path]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "verified 1 instance(s), 0 failure(s)"
 
 
 class TestErrors:
@@ -401,3 +437,54 @@ def test_diagram_readers_fail_cleanly(document) -> None:
             if code == 2:
                 lines = err.getvalue().splitlines()
                 assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+# -- fuzzing formula text ------------------------------------------------------
+
+def _formula_texts(atoms: list[str]):
+    """Formula text over ``atoms``: half the draws well formed, half
+    token soup (mostly invalid). About 12 tokens at most: each <->
+    doubles the encoded tree, so longer draws could cost exponential
+    time without testing anything new."""
+    well_formed = st.recursive(
+        st.sampled_from(atoms),
+        lambda inner: inner.map("~{}".format)
+        | st.builds("({} {} {})".format, inner, st.sampled_from(["&", "|", "->", "<->"]), inner),
+        max_leaves=4,
+    )
+    tokens = atoms + ["~", "&", "|", "->", "<->", "(", ")", "$"]
+    return well_formed | st.lists(st.sampled_from(tokens), max_size=12).map(" ".join)
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stdout; exit 2 must come with
+    exactly one short ``error:`` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and len(lines[0]) < 200, lines
+    return code, out.getvalue()
+
+
+@given(text=_formula_texts(["x1", "x2", "y1", "T", "F"]))
+@settings(max_examples=150)
+def test_formula_commands_fail_cleanly(text) -> None:
+    # "--" ends the options, as a shell user must write it before a
+    # formula such as "->" that argparse would read as an option. y1 is
+    # left out of --vars, so some well-formed draws must be refused.
+    code, out = _run(["count", "--vars", "x1,x2", "--", text])
+    if code == 0:
+        models = count_sat(parse_formula(text), ("x1", "x2"))
+        assert out.splitlines()[1:] == [f"count: {models}", f"oracle: {models}"]
+    _run(["reduce", "circuit-extraction", "--", text])
+
+
+@given(psi=_formula_texts(["x1", "y1", "T", "F"]), rho=_formula_texts(["x1", "z1", "T", "F"]))
+@settings(max_examples=60)
+def test_verify_fails_cleanly_on_formula_text(psi, rho) -> None:
+    with tempfile.TemporaryDirectory() as folder:
+        path = write_json(Path(folder) / "inst.json", {"n": 1, "m": 1, "psi": psi, "rho": rho})
+        _run(["verify", path])

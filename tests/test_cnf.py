@@ -96,6 +96,13 @@ class TestToCnf:
         with pytest.raises(SizeBlowup):
             to_cnf(phi, names)
 
+    def test_long_disjunction_needs_no_recursion(self) -> None:
+        # 3,000 terms: far deeper than the interpreter's recursion limit.
+        names = ("x1", "x2", "x3")
+        phi = parse_formula(" | ".join(["x1", "~x2", "x3"] * 1000))
+        cnf = to_cnf(phi, names)
+        assert cnf.clauses == (clause(lit(0), lit(1, False), lit(2)),)
+
     def test_constant_formulae(self) -> None:
         assert to_cnf(Const(True), ("x1",)).clauses == ()
         false_cnf = to_cnf(Const(False), ("x1",))

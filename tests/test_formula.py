@@ -22,6 +22,7 @@ from zhcalc.formula import (
     assignments,
     compare_sharp_sat,
     count_sat,
+    eliminate_arrows,
     eval_formula,
     format_formula,
     formula_vars,
@@ -223,3 +224,54 @@ def test_sat_compare_instance_refuses_before_naming(monkeypatch):
         monkeypatch.setattr(SatCompareInstance, attr, property(never))
     with pytest.raises(TooManyVariables):
         SatCompareInstance.from_json({"n": 10**8, "m": 1, "psi": "x1", "rho": "z1"})
+
+
+# -- deep inputs ---------------------------------------------------------------
+# Each walk keeps its own stack, so none of these may hit the recursion
+# limit. Deep trees are compared through format_formula text, since the
+# dataclass-generated __eq__ and __repr__ recurse.
+
+DEEP = 10_000
+
+
+def _deep_text(shape: str) -> str:
+    if shape == "~":
+        return "~" * DEEP + "x1"
+    if shape == "()":
+        return "(" * DEEP + "x1" + ")" * DEEP
+    return f" {shape} ".join(["x1", "x2"] * (DEEP // 2))
+
+
+# (shape, variables, models over x1 x2): ~ an even number of times is x1;
+# a right-nested -> chain ending in x2 -> (x1 -> x2) and an even-length
+# <-> chain over x1 x2 are tautologies.
+DEEP_SHAPES = [
+    ("~", ("x1",), 2),
+    ("()", ("x1",), 2),
+    ("&", ("x1", "x2"), 1),
+    ("|", ("x1", "x2"), 3),
+    ("->", ("x1", "x2"), 4),
+    ("<->", ("x1", "x2"), 4),
+]
+
+
+@pytest.mark.parametrize("shape, names, models", DEEP_SHAPES)
+def test_deep_formulae_walk_without_recursion(shape, names, models):
+    text = _deep_text(shape)
+    phi = parse_formula(text)
+    assert format_formula(phi) == (text if shape != "()" else "x1")
+    assert formula_vars(phi) == names
+    renamed = format_formula(rename_vars(phi, {"x1": "q"}))
+    assert renamed == format_formula(phi).replace("x1", "q")
+    assert count_sat(phi, ("x1", "x2")) == models
+    full = {"x1": True, "x2": False}
+    assert eval_formula(substitute(phi, {"x1": True}), {"x2": False}) == eval_formula(phi, full)
+    if shape != "<->":  # each <-> level doubles the arrow-free tree
+        assert count_sat(eliminate_arrows(phi), ("x1", "x2")) == models
+
+
+def test_eval_reads_every_variable():
+    # The postfix evaluation does not short-circuit: a variable in a
+    # branch whose value is already decided must still be assigned.
+    with pytest.raises(UnassignedVariable):
+        eval_formula(Or(x1, x2), {"x1": True})
