@@ -1,9 +1,10 @@
 """CNF conversion and the fixed-shape 0-1 word codec.
 
 A CNF is a clause list over an explicit, ordered variable list.
-to_cnf converts an arbitrary formula by connective elimination,
-negation normal form and distribution, without auxiliary variables,
-so the model count over the same variable list is preserved.
+to_cnf converts an arbitrary formula by negation normal form (which
+rewrites -> and <-> at their own node) and distribution, without
+auxiliary variables, so the model count over the same variable list is
+preserved.
 
 The 0-1 codec packs a CNF with m clauses over n variables into a word
 of exactly 2*k*k bits, k = max(m, n): the clause list is padded with
@@ -37,11 +38,12 @@ from zhcalc.formula import (
     Const,
     Formula,
     FormulaError,
+    Iff,
+    Implies,
     Not,
     Or,
     Var,
     _fold,
-    eliminate_arrows,
 )
 
 DEFAULT_MAX_CLAUSES = 4096
@@ -105,8 +107,10 @@ class CnfFormula:
 
 
 def _nnf(phi: Formula) -> Formula:
-    """Negation normal form of an arrow-free formula: each node yields
-    the pair (its NNF, the NNF of its negation)."""
+    """Negation normal form: each node yields the pair (its NNF, the NNF
+    of its negation). An arrow is rewritten at its node, a -> b as
+    ~a | b and a <-> b as (~a | b) & (a | ~b), each operand's pair
+    shared by both of its uses."""
 
     def rule(node: Formula, *args: tuple[Formula, Formula]) -> tuple[Formula, Formula]:
         match node, args:
@@ -120,6 +124,10 @@ def _nnf(phi: Formula) -> Formula:
                 return And(lp, rp), Or(ln, rn)
             case Or(), ((lp, ln), (rp, rn)):
                 return Or(lp, rp), And(ln, rn)
+            case Implies(), ((lp, ln), (rp, rn)):
+                return Or(ln, rp), And(lp, rn)
+            case Iff(), ((lp, ln), (rp, rn)):
+                return And(Or(ln, rp), Or(lp, rn)), Or(And(lp, rn), And(ln, rp))
         raise TypeError(f"unexpected node in NNF: {node!r}")
 
     return _fold(phi, rule)[0]
@@ -152,7 +160,7 @@ def to_cnf(phi: Formula, variables: tuple[str, ...] | list[str]) -> CnfFormula:
 
     out: list[Clause] = []
     seen = set()
-    for clause in _fold(_nnf(eliminate_arrows(phi)), clauses_of):
+    for clause in _fold(_nnf(phi), clauses_of):
         if any(Literal(l.index, not l.positive) in clause for l in clause):
             continue
         if clause not in seen:

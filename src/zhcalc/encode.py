@@ -6,10 +6,12 @@ two together through the evaluator, and the encoder wires nothing else.
 ``counting_branch`` builds in one pass: a BOTH plug per summed variable,
 a white fan-out spider per variable (first leg plugged or opened as an
 input), then one spliced copy of ``gate_gadget`` per formula node, each
-use of a variable taking its fan's next leg. ``encode_formula`` sums
-nothing; ``counting_state`` sums everything, so its one output wire
-carries the model count. ``stars`` and ``two_root_two`` are the closed
-scalars the NOT gadget and the reductions normalize with.
+use of a variable taking its fan's next leg. Every connective has its
+own block (``<->`` is one three-leg dark not), so no pass rewrites the
+formula first. ``encode_formula`` sums nothing; ``counting_state`` sums
+everything, so its one output wire carries the model count. ``stars``
+and ``two_root_two`` are the closed scalars the NOT gadget and the
+reductions normalize with.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .diagram import (
     basis_state,
     compose,
     generator,
+    identity,
     tensor,
     tensor_all,
 )
@@ -37,12 +40,13 @@ from .formula import (
     And,
     Const,
     Formula,
+    Iff,
+    Implies,
     Not,
     Or,
     UnassignedVariable,
     Var,
     _fold,
-    eliminate_arrows,
     formula_vars,
 )
 from .scalar import ONE
@@ -57,6 +61,8 @@ class GateBlock(Enum):
     COPY = "COPY"
     AND = "AND"
     OR = "OR"
+    IMPLIES = "IMPLIES"
+    IFF = "IFF"
 
 
 _TARGETS: dict[GateBlock, tuple[int, int, tuple[tuple[str, str], ...]]] = {
@@ -68,6 +74,8 @@ _TARGETS: dict[GateBlock, tuple[int, int, tuple[tuple[str, str], ...]]] = {
     GateBlock.COPY: (2, 1, (("00", "0"), ("11", "1"))),
     GateBlock.AND: (1, 2, (("0", "00"), ("0", "01"), ("0", "10"), ("1", "11"))),
     GateBlock.OR: (1, 2, (("0", "00"), ("1", "01"), ("1", "10"), ("1", "11"))),
+    GateBlock.IMPLIES: (1, 2, (("1", "00"), ("1", "01"), ("0", "10"), ("1", "11"))),
+    GateBlock.IFF: (1, 2, (("1", "00"), ("0", "01"), ("0", "10"), ("1", "11"))),
 }
 
 
@@ -86,11 +94,8 @@ def stars(count: int) -> Diagram:
 
 
 def two_root_two() -> Diagram:
-    """Closed loop evaluating to 2*sqrt(2): a dark cap tracing a white cup."""
-    return compose(
-        generator(GeneratorKind.DARK_SPIDER, 2, 0),
-        generator(GeneratorKind.WHITE_SPIDER, 0, 2),
-    )
+    """The scalar 2*sqrt(2): one legless dark spider."""
+    return generator(GeneratorKind.DARK_SPIDER, 0, 0)
 
 
 @cache
@@ -108,7 +113,7 @@ def gate_gadget(block: GateBlock) -> Diagram:
     if block is GateBlock.COPY:
         return generator(z, 1, 2)
     if block is GateBlock.NOT:
-        # Two stars bring the loop's 2*sqrt(2) down to 1/sqrt(2).
+        # Two stars bring the 2*sqrt(2) down to 1/sqrt(2).
         flip = generator(GeneratorKind.DARK_NOT, 1, 1)
         return tensor_all([flip, two_root_two(), stars(2)])
     if block is GateBlock.AND:
@@ -119,6 +124,13 @@ def gate_gadget(block: GateBlock) -> Diagram:
         flip = gate_gadget(GateBlock.NOT)
         inner = compose(gate_gadget(GateBlock.AND), tensor(flip, flip))
         return compose(gate_gadget(GateBlock.NOT), inner)
+    if block is GateBlock.IMPLIES:
+        flip = gate_gadget(GateBlock.NOT)
+        inner = compose(gate_gadget(GateBlock.AND), tensor(identity(1), flip))
+        return compose(flip, inner)
+    if block is GateBlock.IFF:
+        # Parity: the output is 1 exactly when the inputs agree.
+        return generator(GeneratorKind.DARK_NOT, 2, 1)
     raise ValueError(f"unknown block {block}")
 
 
@@ -142,23 +154,14 @@ def _splice(
     return output
 
 
-_BLOCKS = {Not: GateBlock.NOT, And: GateBlock.AND}
-
-
-def _and_not(node: Formula, *args: Formula) -> Formula:
-    """An arrow-free node over AND/NOT children, with OR as
-    NOT(AND(NOT, NOT)): the four splices gate_gadget(OR) composes."""
-    if type(node) is Or:
-        return Not(And(Not(args[0]), Not(args[1])))
-    return type(node)(*args) if args else node
+_BLOCKS = {Not: GateBlock.NOT, And: GateBlock.AND, Or: GateBlock.OR,
+           Implies: GateBlock.IMPLIES, Iff: GateBlock.IFF}
 
 
 def _emit(builder: DiagramBuilder, phi: Formula, fans: dict[str, int]) -> NodePort:
-    """Splice the gadgets of ``phi``'s AND/NOT form in post-order; return
-    its output leg. Each use of a variable takes the next leg of that
-    variable's fan. OR is desugared before the walk, not at its node, so
-    the NOT on its left operand is spliced before the right operand's
-    gadgets, the node order the encoder has always emitted."""
+    """Splice one gadget per node of ``phi`` in post-order; return its
+    output leg. Each use of a variable takes the next leg of that
+    variable's fan."""
 
     def rule(node: Formula, *args: NodePort) -> NodePort:
         kind = type(node)
@@ -170,7 +173,7 @@ def _emit(builder: DiagramBuilder, phi: Formula, fans: dict[str, int]) -> NodePo
             block = _BLOCKS[kind]
         return _splice(builder, gate_gadget(block), args)
 
-    return _fold(_fold(eliminate_arrows(phi), _and_not), rule)
+    return _fold(phi, rule)
 
 
 def encode_formula(phi: Formula, variables: Sequence[str]) -> Diagram:

@@ -207,22 +207,6 @@ def _fold_not(phi: Formula) -> Formula:
     return Not(phi)
 
 
-def eliminate_arrows(phi: Formula) -> Formula:
-    """Rewrite -> and <-> into and/or/not; the value is unchanged."""
-
-    def rule(node: Formula, *args: Formula) -> Formula:
-        match node, args:
-            case Implies(), (a, b):
-                return Or(Not(a), b)
-            case Iff(), (a, b):
-                return And(Or(Not(a), b), Or(a, Not(b)))
-            case (Var() | Const()), ():
-                return node
-        return type(node)(*args)
-
-    return _fold(phi, rule)
-
-
 def rename_vars(phi: Formula, mapping: dict[str, str]) -> Formula:
     def rule(node: Formula, *args: Formula) -> Formula:
         match node:

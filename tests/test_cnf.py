@@ -23,7 +23,6 @@ from zhcalc.corpus import random_cnf, random_formula
 from zhcalc.formula import (
     And,
     Const,
-    Iff,
     Not,
     Or,
     Var,
@@ -73,9 +72,15 @@ class TestToCnf:
         assert count_sat(cnf.to_formula(), ("x1",)) == 0
 
     def test_arrow_elimination(self) -> None:
-        phi = Iff(Var("x1"), Var("x2"))
-        cnf = to_cnf(phi, ("x1", "x2"))
-        assert count_sat(cnf.to_formula(), ("x1", "x2")) == 2
+        # The negated forms are built by the NNF at the arrow's own node.
+        for text, models in [
+            ("x1 <-> x2", 2),
+            ("x1 -> x2", 3),
+            ("~(x1 -> x2)", 1),
+            ("~(x1 <-> x2)", 2),
+        ]:
+            cnf = to_cnf(parse_formula(text), ("x1", "x2"))
+            assert count_sat(cnf.to_formula(), ("x1", "x2")) == models, text
 
     def test_preserves_count_on_random_formulae(self) -> None:
         rng = random.Random(411)

@@ -17,11 +17,13 @@ from zhcalc.encode import (
     gate_gadget,
     gate_target,
     stars,
+    two_root_two,
 )
 from zhcalc.evaluate import (
     ExactMatrix,
     apply_basis,
     evaluate,
+    identity_matrix,
     interpret_generator,
     matrix_compose,
     matrix_tensor,
@@ -55,6 +57,8 @@ class TestGates:
     def test_structural_forms(self) -> None:
         assert gate_gadget(GateBlock.BOTH) == generator(Z, 0, 1)
         assert gate_gadget(GateBlock.COPY) == generator(Z, 1, 2)
+        assert gate_gadget(GateBlock.IFF) == generator(XNOT, 2, 1)
+        assert two_root_two() == generator(X, 0, 0)
 
     def test_and_by_pure_matrix_route(self) -> None:
         # The same realization computed with matrix products only, never
@@ -65,11 +69,9 @@ class TestGates:
         assert matrix_tensor(scalar_matrix(HALF), boxes) == gate_target(GateBlock.AND)
 
     def test_not_by_pure_matrix_route(self) -> None:
-        loop = matrix_compose(
-            interpret_generator(X, 2, 0), interpret_generator(Z, 0, 2)
-        )
         scale = matrix_tensor(
-            scalar_matrix(HALF), matrix_tensor(scalar_matrix(HALF), loop)
+            scalar_matrix(HALF),
+            matrix_tensor(scalar_matrix(HALF), interpret_generator(X, 0, 0)),
         )
         flip = matrix_tensor(interpret_generator(XNOT, 1, 1), scale)
         assert flip == gate_target(GateBlock.NOT)
@@ -78,6 +80,17 @@ class TestGates:
         flip = gate_target(GateBlock.NOT)
         inner = matrix_compose(gate_target(GateBlock.AND), matrix_tensor(flip, flip))
         assert matrix_compose(flip, inner) == gate_target(GateBlock.OR)
+
+    def test_implies_by_pure_matrix_route(self) -> None:
+        flip = gate_target(GateBlock.NOT)
+        inner = matrix_compose(
+            gate_target(GateBlock.AND), matrix_tensor(identity_matrix(1), flip)
+        )
+        assert matrix_compose(flip, inner) == gate_target(GateBlock.IMPLIES)
+
+    def test_iff_by_pure_matrix_route(self) -> None:
+        # A three-leg dark not is 1 exactly where its legs' parity is odd.
+        assert interpret_generator(XNOT, 2, 1) == gate_target(GateBlock.IFF)
 
     def test_targets_are_the_documented_tables(self) -> None:
         assert gate_target(GateBlock.AND).entries == {
@@ -196,6 +209,14 @@ class TestCountingState:
     def test_empty_variable_list(self) -> None:
         d = counting_state(Const(True), ())
         assert evaluate(d).entries == {("1", ""): ONE}
+
+    def test_iff_chain_costs_one_node_per_connective(self) -> None:
+        # Each <-> is one dark not, not a copy of both operands: 40 terms
+        # take two BOTH plugs, two fan spiders and 39 dark nots.
+        phi = parse_formula(" <-> ".join(["x1", "x2"] * 20))
+        d = counting_state(phi, ("x1", "x2"))
+        assert len(d.nodes) <= 40 + 3
+        assert evaluate(d).entries == {("1", ""): ExactScalar(a=4, b=0, e=0)}
 
     def test_matches_count_sat_oracle(self) -> None:
         rng = random.Random(1879)

@@ -22,7 +22,6 @@ from zhcalc.formula import (
     assignments,
     compare_sharp_sat,
     count_sat,
-    eliminate_arrows,
     eval_formula,
     format_formula,
     formula_vars,
@@ -266,8 +265,6 @@ def test_deep_formulae_walk_without_recursion(shape, names, models):
     assert count_sat(phi, ("x1", "x2")) == models
     full = {"x1": True, "x2": False}
     assert eval_formula(substitute(phi, {"x1": True}), {"x2": False}) == eval_formula(phi, full)
-    if shape != "<->":  # each <-> level doubles the arrow-free tree
-        assert count_sat(eliminate_arrows(phi), ("x1", "x2")) == models
 
 
 def test_eval_reads_every_variable():
