@@ -1,10 +1,9 @@
 """CNF conversion and the fixed-shape 0-1 word codec.
 
 A CNF is a clause list over an explicit, ordered variable list.
-to_cnf converts an arbitrary formula by negation normal form (which
-rewrites -> and <-> at their own node) and distribution, without
-auxiliary variables, so the model count over the same variable list is
-preserved.
+to_cnf converts an arbitrary formula in one fold that pushes negations
+inward and distributes, without auxiliary variables, so the model count
+over the same variable list is preserved.
 
 The 0-1 codec packs a CNF with m clauses over n variables into a word
 of exactly 2*k*k bits, k = max(m, n): the clause list is padded with
@@ -106,75 +105,66 @@ class CnfFormula:
         return Const(True) if conj is None else conj
 
 
-def _nnf(phi: Formula) -> Formula:
-    """Negation normal form: each node yields the pair (its NNF, the NNF
-    of its negation). An arrow is rewritten at its node, a -> b as
-    ~a | b and a <-> b as (~a | b) & (a | ~b), each operand's pair
-    shared by both of its uses."""
-
-    def rule(node: Formula, *args: tuple[Formula, Formula]) -> tuple[Formula, Formula]:
-        match node, args:
-            case Var(), ():
-                return node, Not(node)
-            case Const(value), ():
-                return node, Const(not value)
-            case Not(), ((positive, negated),):
-                return negated, positive
-            case And(), ((lp, ln), (rp, rn)):
-                return And(lp, rp), Or(ln, rn)
-            case Or(), ((lp, ln), (rp, rn)):
-                return Or(lp, rp), And(ln, rn)
-            case Implies(), ((lp, ln), (rp, rn)):
-                return Or(ln, rp), And(lp, rn)
-            case Iff(), ((lp, ln), (rp, rn)):
-                return And(Or(ln, rp), Or(lp, rn)), Or(And(lp, rn), And(ln, rp))
-        raise TypeError(f"unexpected node in NNF: {node!r}")
-
-    return _fold(phi, rule)[0]
+# A node's clause list, or None once it would pass DEFAULT_MAX_CLAUSES.
+_Clauses = list[Clause] | None
+_Pair = tuple[_Clauses, _Clauses]
 
 
 def to_cnf(phi: Formula, variables: tuple[str, ...] | list[str]) -> CnfFormula:
     """Equivalent CNF over the same variable list; counts are preserved.
 
-    No auxiliary variables are introduced; the clause set may grow
-    exponentially, guarded by DEFAULT_MAX_CLAUSES (SizeBlowup on
-    overflow).
-    Tautological clauses are dropped and duplicate clauses merged.
+    One fold yields, per node, the pair (its clauses, its negation's
+    clauses), so Not swaps the pair, a -> b distributes as ~a | b and
+    a <-> b as (~a | b) & (a | ~b), negated (a & ~b) | (~a & b). No
+    auxiliary variables are introduced. Each node keeps its distinct
+    non-tautological clauses in first-occurrence order, at most
+    DEFAULT_MAX_CLAUSES; a product past that bound is not built, and
+    SizeBlowup is raised if the formula's clauses need it.
     """
     names = tuple(variables)
     index = {name: i for i, name in enumerate(names)}
 
-    def clauses_of(node: Formula, *args: list[Clause]) -> list[Clause]:
+    def rule(node: Formula, *args: _Pair) -> _Pair:
         match node, args:
-            case Const(value), ():
-                return [] if value else [frozenset()]
             case Var(name), ():
-                return [frozenset((Literal(index[name], True),))]
-            case Not(Var(name)), (_,):
-                return [frozenset((Literal(index[name], False),))]
-            case And(), (left, right):
-                return _capped(left + right)
-            case Or(), (left, right):
-                return _capped([a | b for a in left for b in right])
-        raise TypeError(f"unexpected node after NNF: {node!r}")
+                i = index[name]
+                return [frozenset((Literal(i, True),))], [frozenset((Literal(i, False),))]
+            case Const(value), ():
+                return ([], [frozenset()]) if value else ([frozenset()], [])
+            case Not(), ((positive, negated),):
+                return negated, positive
+            case And(), ((lp, ln), (rp, rn)):
+                return _conjoin(lp, rp), _distribute(ln, rn)
+            case Or(), ((lp, ln), (rp, rn)):
+                return _distribute(lp, rp), _conjoin(ln, rn)
+            case Implies(), ((lp, ln), (rp, rn)):
+                return _distribute(ln, rp), _conjoin(lp, rn)
+            case Iff(), ((lp, ln), (rp, rn)):
+                return (
+                    _conjoin(_distribute(ln, rp), _distribute(lp, rn)),
+                    _distribute(_conjoin(lp, rn), _conjoin(ln, rp)),
+                )
+        raise TypeError(f"unexpected node in formula: {node!r}")
 
-    out: list[Clause] = []
-    seen = set()
-    for clause in _fold(_nnf(phi), clauses_of):
-        if any(Literal(l.index, not l.positive) in clause for l in clause):
-            continue
-        if clause not in seen:
-            seen.add(clause)
-            out.append(clause)
-    return CnfFormula(names, tuple(out))
+    clauses = _fold(phi, rule)[0]
+    if clauses is None:
+        raise SizeBlowup(f"distribution exceeds budget {DEFAULT_MAX_CLAUSES}")
+    return CnfFormula(names, tuple(clauses))
 
 
-def _capped(clauses: list[Clause]) -> list[Clause]:
-    if len(clauses) > DEFAULT_MAX_CLAUSES:
-        raise SizeBlowup(
-            f"{len(clauses)} clauses exceeds budget {DEFAULT_MAX_CLAUSES}"
-        )
-    return clauses
+def _conjoin(left: _Clauses, right: _Clauses) -> _Clauses:
+    if left is None or right is None:
+        return None
+    clauses = list(dict.fromkeys(left + right))
+    return clauses if len(clauses) <= DEFAULT_MAX_CLAUSES else None
+
+
+def _distribute(left: _Clauses, right: _Clauses) -> _Clauses:
+    if left is None or right is None or len(left) * len(right) > DEFAULT_MAX_CLAUSES:
+        return None
+    # A clause holding both signs of a variable has fewer indices than literals.
+    products = (a | b for a in left for b in right)
+    return list(dict.fromkeys(c for c in products if len({l.index for l in c}) == len(c)))
 
 
 # ---------------------------------------------------------------------------

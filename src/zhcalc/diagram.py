@@ -344,11 +344,6 @@ def basis_effect(bit: bool) -> Diagram:
 # -- composition -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Junction:
-    pos: int
-
-
 def compose(d1: Diagram, d2: Diagram) -> Diagram:
     """Sequential composition d1 after d2 (matrix order: d1 times d2).
 
@@ -362,82 +357,56 @@ def compose(d1: Diagram, d2: Diagram) -> Diagram:
         raise ArityMismatch(
             f"cannot plug {d2.n_out} outputs into {d1.n_in} inputs"
         )
-    offset = len(d2.nodes)
+    n, offset = d2.n_out, len(d2.nodes)
     nodes: list[Node] = list(d2.nodes) + list(d1.nodes)
-
-    def from_lower(ep: Endpoint) -> Endpoint | _Junction:
-        if isinstance(ep, NodePort):
-            return ep
-        if ep.side == "in":
-            return ep
-        return _Junction(pos=ep.pos)
-
-    def from_upper(ep: Endpoint) -> Endpoint | _Junction:
-        if isinstance(ep, NodePort):
-            return NodePort(node=ep.node + offset, port=ep.port)
-        if ep.side == "out":
-            return ep
-        return _Junction(pos=ep.pos)
-
-    raw: list[tuple[Endpoint | _Junction, Endpoint | _Junction]] = [
-        (from_lower(a), from_lower(b)) for a, b in d2.edges
-    ]
-    raw += [(from_upper(a), from_upper(b)) for a, b in d1.edges]
-
-    incident: dict[int, list[tuple[int, int]]] = {}
-    for idx, (a, b) in enumerate(raw):
-        for end, ep in ((0, a), (1, b)):
-            if isinstance(ep, _Junction):
-                incident.setdefault(ep.pos, []).append((idx, end))
-    for pos, uses in incident.items():
-        if len(uses) != 2:
-            raise ValueError(
-                f"fused position {pos} touches {len(uses)} edges; inputs are malformed"
-            )
-
-    consumed = [False] * len(raw)
     edges: list[tuple[Endpoint, Endpoint]] = []
+    # Output p of d2 and input p of d1 meet at junction p. meets[side][p]
+    # is the far end of that side's edge at p (side 0 is d2, side 1 is
+    # d1): a real endpoint, or the int q when the edge joins p to q.
+    meets: tuple[list, list] = ([None] * n, [None] * n)
+    malformed = "fused position {} is not on exactly one edge of each side; inputs are malformed"
+    for side, kept, operand in ((0, "in", d2), (1, "out", d1)):
+        shift, meet = side * offset, meets[side]
+        for a, b in operand.edges:
+            if type(a) is NodePort:
+                a = NodePort(node=a.node + shift, port=a.port) if shift else a
+            elif a.side != kept:
+                a = a.pos
+            if type(b) is NodePort:
+                b = NodePort(node=b.node + shift, port=b.port) if shift else b
+            elif b.side != kept:
+                b = b.pos
+            if type(a) is not int and type(b) is not int:
+                edges.append((a, b))
+                continue
+            for p, far in ((a, b), (b, a)):
+                if type(p) is int:
+                    if not 0 <= p < n or meet[p] is not None:
+                        raise ValueError(malformed.format(p))
+                    meet[p] = far
+    for meet in meets:
+        if None in meet:
+            raise ValueError(malformed.format(meet.index(None)))
 
-    def walk(start_edge: int, start_pos: int) -> Endpoint | None:
-        """Follow the junction chain away from start_edge; return the real
-        endpoint it terminates in, or None if it loops back to start_edge."""
-        cur_edge, cur_pos = start_edge, start_pos
-        while True:
-            first, second = incident[cur_pos]
-            nxt_edge, nxt_end = second if first[0] == cur_edge else first
-            if nxt_edge == start_edge:
-                return None
-            consumed[nxt_edge] = True
-            far = raw[nxt_edge][1 - nxt_end]
-            if not isinstance(far, _Junction):
-                return far
-            cur_edge, cur_pos = nxt_edge, far.pos
-
-    for idx, (a, b) in enumerate(raw):
-        if consumed[idx]:
+    # Walk each junction's chain both ways, leaving through d2's edge and
+    # then d1's, until it reaches a real end or closes back on itself.
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
             continue
-        a_j = isinstance(a, _Junction)
-        b_j = isinstance(b, _Junction)
-        if not a_j and not b_j:
-            consumed[idx] = True
-            edges.append((a, b))
-        elif a_j != b_j:
-            consumed[idx] = True
-            real, junction = (b, a) if a_j else (a, b)
-            far = walk(idx, junction.pos)
-            assert far is not None, "chain from a real endpoint cannot cycle"
-            edges.append((real, far))
-
-    for idx, (a, b) in enumerate(raw):
-        if consumed[idx]:
+        ends = []
+        for side in (0, 1):
+            far = meets[side][start]
+            while type(far) is int and far != start:
+                seen[far] = True
+                side = 1 - side
+                far = meets[side][far]
+            ends.append(far)
+        if far != start:
+            edges.append((ends[0], ends[1]))
             continue
-        # Both ends are junctions and the edge survived the chain sweep,
-        # so it belongs to a closed cycle of fused wires.
-        consumed[idx] = True
-        result = walk(idx, b.pos)
-        assert result is None, "cycle sweep reached a real endpoint"
+        loop_id = len(nodes)
         nodes.append(Node(kind=GeneratorKind.WHITE_SPIDER, degree=2))
-        loop_id = len(nodes) - 1
         edges.append((NodePort(node=loop_id, port=0), NodePort(node=loop_id, port=1)))
 
     return Diagram(nodes=tuple(nodes), edges=tuple(edges), n_in=d2.n_in, n_out=d1.n_out)

@@ -28,6 +28,7 @@ from zhcalc.formula import (
     Var,
     count_sat,
     parse_formula,
+    satisfying_assignments,
 )
 
 
@@ -67,12 +68,12 @@ class TestToCnf:
     def test_contradiction_keeps_empty_clause(self) -> None:
         phi = And(Var("x1"), Not(Var("x1")))
         cnf = to_cnf(phi, ("x1",))
-        # NNF of x1 & ~x1 distributes to two unit clauses, not an empty
-        # one, so check semantics rather than shape.
+        # x1 & ~x1 conjoins two unit clauses, not an empty one, so
+        # check semantics rather than shape.
         assert count_sat(cnf.to_formula(), ("x1",)) == 0
 
     def test_arrow_elimination(self) -> None:
-        # The negated forms are built by the NNF at the arrow's own node.
+        # The negated forms are built at the arrow's own node.
         for text, models in [
             ("x1 <-> x2", 2),
             ("x1 -> x2", 3),
@@ -83,12 +84,18 @@ class TestToCnf:
             assert count_sat(cnf.to_formula(), ("x1", "x2")) == models, text
 
     def test_preserves_count_on_random_formulae(self) -> None:
+        # Depths 6-7 nest <-> deeply enough that distributing a tree
+        # copy of each <-> operand would pass the clause budget.
         rng = random.Random(411)
-        for _ in range(120):
-            names = ("x1", "x2", "x3", "x4")
-            phi = random_formula(rng, names, max_depth=4)
+        names = ("x1", "x2", "x3", "x4")
+        for i in range(160):
+            depth = 4 if i < 120 else rng.randint(6, 7)
+            phi = random_formula(rng, names, max_depth=depth)
             cnf = to_cnf(phi, names)
             assert count_sat(phi, names) == count_sat(cnf.to_formula(), names)
+            assert satisfying_assignments(phi, names) == satisfying_assignments(
+                cnf.to_formula(), names
+            )
 
     def test_blowup_guard(self) -> None:
         names = tuple(f"x{i}" for i in range(1, 27))
@@ -107,6 +114,15 @@ class TestToCnf:
         phi = parse_formula(" | ".join(["x1", "~x2", "x3"] * 1000))
         cnf = to_cnf(phi, names)
         assert cnf.clauses == (clause(lit(0), lit(1, False), lit(2)),)
+
+    def test_long_iff_chain_converts_in_one_fold(self) -> None:
+        # x1 <-> x2 <-> ... with each variable an even number of times is
+        # valid, so its CNF is empty. Each <-> operand's clauses are built
+        # once, so the chain's length costs linear, not exponential, work.
+        names = ("x1", "x2")
+        for terms in (12, 2000):
+            phi = parse_formula(" <-> ".join(["x1", "x2"] * (terms // 2)))
+            assert to_cnf(phi, names).clauses == ()
 
     def test_constant_formulae(self) -> None:
         assert to_cnf(Const(True), ("x1",)).clauses == ()

@@ -181,6 +181,25 @@ class TestCompose:
             (np(0, 1), np(0, 2)),
         )
 
+    def test_malformed_operands_raise_value_error(self) -> None:
+        # Output 0 of d2 on two edges, and an output no edge touches.
+        doubled = Diagram(
+            nodes=(Node(kind=Z, degree=2),),
+            edges=((np(0, 0), outb(0)), (np(0, 1), outb(0))),
+            n_in=0,
+            n_out=1,
+        )
+        untouched = Diagram(
+            nodes=(Node(kind=Z, degree=1),),
+            edges=((np(0, 0), outb(0)),),
+            n_in=0,
+            n_out=2,
+        )
+        for d2 in (doubled, untouched):
+            with pytest.raises(ValueError) as info:
+                compose(identity(d2.n_out), d2)
+            assert not isinstance(info.value, ArityMismatch)
+
     def test_preserves_validity_on_random_pairs(self) -> None:
         rng = random.Random(90125)
         for _ in range(200):
