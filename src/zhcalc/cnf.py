@@ -41,6 +41,7 @@ from zhcalc.formula import (
     Implies,
     Not,
     Or,
+    UnassignedVariable,
     Var,
     _fold,
 )
@@ -127,7 +128,9 @@ def to_cnf(phi: Formula, variables: tuple[str, ...] | list[str]) -> CnfFormula:
     def rule(node: Formula, *args: _Pair) -> _Pair:
         match node, args:
             case Var(name), ():
-                i = index[name]
+                i = index.get(name)
+                if i is None:
+                    raise UnassignedVariable(name)
                 return [frozenset((Literal(i, True),))], [frozenset((Literal(i, False),))]
             case Const(value), ():
                 return ([], [frozenset()]) if value else ([frozenset()], [])

@@ -7,9 +7,9 @@ ports only exist to make the multigraph structure unambiguous (parallel
 edges and self-loops are both legal and both meaningful).
 
 Diagrams are immutable. ``compose`` and ``tensor`` build new values,
-``DiagramBuilder`` assembles one incrementally, and ``validate`` reports
-structural problems as data rather than exceptions so that callers can
-show all of them at once.
+``DiagramBuilder`` assembles one incrementally (splicing in whole
+gadgets), and ``validate`` reports structural problems as data rather
+than exceptions so that callers can show all of them at once.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Sequence, Union
 
 
 class GeneratorKind(Enum):
@@ -446,9 +446,10 @@ class DiagramBuilder:
     """Assemble a diagram node by node.
 
     ``node`` registers a generator, ``leg`` allocates its next port and
-    returns the handle, ``connect`` joins two handles, and ``finish``
-    wires the remaining handles to the boundary in the given order.
-    Every allocated leg must end up used exactly once.
+    returns the handle, ``connect`` joins two handles, ``splice`` copies
+    in a whole diagram, and ``finish`` wires the remaining handles to the
+    boundary in the given order. Every allocated leg must end up used
+    exactly once.
     """
 
     def __init__(self) -> None:
@@ -483,6 +484,32 @@ class DiagramBuilder:
 
     def star(self) -> int:
         return self.node(GeneratorKind.STAR)
+
+    def splice(self, gadget: Diagram, inputs: Sequence[NodePort] = ()) -> list[NodePort]:
+        """Copy ``gadget`` in with its inputs wired to the legs ``inputs``;
+        return the legs at its outputs, in output order. Edges are
+        canonical, so an input end comes first and an output end last."""
+        if len(inputs) != gadget.n_in:
+            raise ValueError(f"gadget takes {gadget.n_in} inputs, got {len(inputs)}")
+        base = len(self._kinds)
+        self._kinds += [node.kind for node in gadget.nodes]
+        self._degrees += [node.degree for node in gadget.nodes]
+        outputs: list = [None] * gadget.n_out
+        for a, b in gadget.edges:
+            near = (
+                NodePort(node=a.node + base, port=a.port)
+                if type(a) is NodePort
+                else inputs[a.pos] if a.side == "in" else None
+            )
+            if type(b) is NodePort:
+                self.connect(near, NodePort(node=b.node + base, port=b.port))
+            elif near is None or b.side == "in":
+                raise ValueError("a gadget wire joins two inputs or two outputs")
+            else:
+                outputs[b.pos] = near
+        if None in outputs:
+            raise ValueError(f"gadget output {outputs.index(None)} is on no wire")
+        return outputs
 
     def finish(
         self,

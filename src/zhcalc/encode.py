@@ -3,15 +3,16 @@
 Each logic block has a declared target matrix (``gate_target``) and a
 generator-only realization (``gate_gadget``); the soundness tests pin the
 two together through the evaluator, and the encoder wires nothing else.
-``counting_branch`` builds in one pass: a BOTH plug per summed variable,
-a white fan-out spider per variable (first leg plugged or opened as an
-input), then one spliced copy of ``gate_gadget`` per formula node, each
-use of a variable taking its fan's next leg. Every connective has its
-own block (``<->`` is one three-leg dark not), so no pass rewrites the
-formula first. ``encode_formula`` sums nothing; ``counting_state`` sums
-everything, so its one output wire carries the model count. ``stars``
-and ``two_root_two`` are the closed scalars the NOT gadget and the
-reductions normalize with.
+``splice_formula`` builds into a caller's ``DiagramBuilder``: over
+caller-given white fan-out spiders, one per variable, it splices one
+copy of ``gate_gadget`` per formula node, each use of a variable taking
+its fan's next leg. Every connective has its own block (``<->`` is one
+three-leg dark not), so no pass rewrites the formula first. A fan given
+no open leg sums its variable, so an unused summed variable leaves a
+legless fan worth 2. ``encode_formula`` opens every fan as an input;
+``counting_state`` opens none, so its one output wire carries the model
+count. ``stars`` and ``two_root_two`` are the closed scalars the NOT
+gadget and the reductions normalize with.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from functools import cache
 from typing import Sequence
 
 from .diagram import (
-    BoundaryPort,
     Diagram,
     DiagramBuilder,
     GeneratorKind,
@@ -47,7 +47,6 @@ from .formula import (
     UnassignedVariable,
     Var,
     _fold,
-    formula_vars,
 )
 from .scalar import ONE
 
@@ -93,6 +92,7 @@ def stars(count: int) -> Diagram:
     return Diagram(nodes=(star,) * count, edges=(), n_in=0, n_out=0)
 
 
+@cache
 def two_root_two() -> Diagram:
     """The scalar 2*sqrt(2): one legless dark spider."""
     return generator(GeneratorKind.DARK_SPIDER, 0, 0)
@@ -134,31 +134,23 @@ def gate_gadget(block: GateBlock) -> Diagram:
     raise ValueError(f"unknown block {block}")
 
 
-def _splice(
-    builder: DiagramBuilder, gadget: Diagram, inputs: Sequence[NodePort]
-) -> NodePort:
-    """Copy the one-output ``gadget`` into ``builder``, node by node and
-    leg by leg, wired to ``inputs``; return the leg at its output. Edges
-    are canonical: an input end comes first, the output end last."""
-    legs = []
-    for node in gadget.nodes:
-        node_id = builder.node(node.kind)
-        legs.append([builder.leg(node_id) for _ in range(node.degree)])
-    output = None
-    for a, b in gadget.edges:
-        near = inputs[a.pos] if isinstance(a, BoundaryPort) else legs[a.node][a.port]
-        if isinstance(b, BoundaryPort):
-            output = near
-        else:
-            builder.connect(near, legs[b.node][b.port])
-    return output
-
-
 _BLOCKS = {Not: GateBlock.NOT, And: GateBlock.AND, Or: GateBlock.OR,
            Implies: GateBlock.IMPLIES, Iff: GateBlock.IFF}
 
 
-def _emit(builder: DiagramBuilder, phi: Formula, fans: dict[str, int]) -> NodePort:
+def fan_spiders(builder: DiagramBuilder, names: Sequence[str]) -> dict[str, int]:
+    """One white fan-out spider per variable, keyed by name. A fan that
+    gets no open leg sums its variable over both values; unused, it is
+    legless and worth 2."""
+    fans = {name: builder.node(GeneratorKind.WHITE_SPIDER) for name in names}
+    if len(fans) != len(names):
+        raise ValueError("variable names must be distinct")
+    return fans
+
+
+def splice_formula(
+    builder: DiagramBuilder, phi: Formula, fans: dict[str, int]
+) -> NodePort:
     """Splice one gadget per node of ``phi`` in post-order; return its
     output leg. Each use of a variable takes the next leg of that
     variable's fan."""
@@ -166,12 +158,15 @@ def _emit(builder: DiagramBuilder, phi: Formula, fans: dict[str, int]) -> NodePo
     def rule(node: Formula, *args: NodePort) -> NodePort:
         kind = type(node)
         if kind is Var:
-            return builder.leg(fans[node.name])
+            fan = fans.get(node.name)
+            if fan is None:
+                raise UnassignedVariable(f"{node.name} is not in the variable list")
+            return builder.leg(fan)
         if kind is Const:
             block = GateBlock.TRUE if node.value else GateBlock.FALSE
         else:
             block = _BLOCKS[kind]
-        return _splice(builder, gate_gadget(block), args)
+        return builder.splice(gate_gadget(block), args)[0]
 
     return _fold(phi, rule)
 
@@ -180,35 +175,20 @@ def encode_formula(phi: Formula, variables: Sequence[str]) -> Diagram:
     """The n-input, 1-output diagram of ``phi`` over ``variables``.
 
     Plugging basis states for a valuation into the inputs yields exactly
-    |1> when the formula holds and |0> when it does not. Unused listed
-    variables are discarded through a one-leg white spider, which keeps
-    counting uses well-scaled.
+    |1> when the formula holds and |0> when it does not. An unused
+    listed variable's fan keeps only its input leg, a one-leg white
+    spider that discards the wire.
     """
-    return counting_branch(phi, variables, ())
-
-
-def counting_branch(
-    phi: Formula, opened: Sequence[str], summed: Sequence[str]
-) -> Diagram:
-    """Encode ``phi`` with the ``summed`` variables driven by BOTH
-    states, leaving the ``opened`` wires as inputs."""
-    names = list(opened) + list(summed)
-    if len(set(names)) != len(names):
-        raise ValueError("variable names must be distinct")
-    missing = [v for v in formula_vars(phi) if v not in names]
-    if missing:
-        raise UnassignedVariable(f"{missing[0]} is not in the variable list")
     builder = DiagramBuilder()
-    plugs = [_splice(builder, gate_gadget(GateBlock.BOTH), ()) for _ in summed]
-    fans = {name: builder.node(GeneratorKind.WHITE_SPIDER) for name in names}
-    firsts = [builder.leg(fans[name]) for name in names]
-    for plug, first in zip(plugs, firsts[len(opened):]):
-        builder.connect(plug, first)
-    out_leg = _emit(builder, phi, fans)
-    return builder.finish(inputs=firsts[: len(opened)], outputs=[out_leg])
+    fans = fan_spiders(builder, variables)
+    inputs = [builder.leg(fan) for fan in fans.values()]
+    out = splice_formula(builder, phi, fans)
+    return builder.finish(inputs=inputs, outputs=[out])
 
 
 def counting_state(phi: Formula, variables: Sequence[str]) -> Diagram:
     """The 0-input, 1-output diagram whose evaluation is
     count*|1> + (2^n - count)*|0> for the model count over ``variables``."""
-    return counting_branch(phi, (), variables)
+    builder = DiagramBuilder()
+    out = splice_formula(builder, phi, fan_spiders(builder, variables))
+    return builder.finish(outputs=[out])

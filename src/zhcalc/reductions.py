@@ -7,19 +7,22 @@ whose matrix contains a chosen dyadic value exactly when such an
 agreement exists.  ``build_circuit_extraction`` wraps a model count in
 a one-wire block that is always proportional to a unitary.
 
-Every builder emits atomic generators only, and the two instance
-builders double-check themselves on one pseudo-random basis input
-before returning, so a normalization slip fails at construction time
-rather than in a downstream solver.  ``verify_instance`` runs both
-instance reductions through the brute-force solvers against the
-formula oracle; the CLI's ``verify`` and the acceptance suite share it.
+Every builder emits atomic generators only and assembles each diagram
+in one ``DiagramBuilder`` pass: a fan spider per variable, each formula
+spliced over its fans, then the effects and scalars spliced in.
+``build_contains_entry`` double-checks itself on one pseudo-random
+basis input before returning, so a normalization slip fails at
+construction time rather than in a downstream solver.
+``verify_instance`` runs both instance reductions through the
+brute-force solvers against the formula oracle; the CLI's ``verify``
+and the acceptance suite share it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Sequence
 
 from .counting import formula_with_count
@@ -30,16 +33,13 @@ from .diagram import (
     GeneratorKind,
     compose,
     generator,
-    identity,
     tensor,
-    tensor_all,
 )
 from .encode import (
     GateBlock,
-    counting_branch,
-    counting_state,
+    fan_spiders,
     gate_gadget,
-    stars,
+    splice_formula,
     two_root_two,
 )
 from .evaluate import apply_basis
@@ -131,20 +131,7 @@ class DyadicK:
 # -- shared pieces ----------------------------------------------------------
 
 
-def _minus_one() -> Diagram:
-    """Closed gadget evaluating to exactly -1.
-
-    A one-leg white not against a one-leg dark not contracts to -2; a
-    star halves it.  No zero-leg boxes are involved.
-    """
-    builder = DiagramBuilder()
-    builder.star()
-    white = builder.node(GeneratorKind.WHITE_NOT)
-    dark = builder.node(GeneratorKind.DARK_NOT)
-    builder.connect(builder.leg(white), builder.leg(dark))
-    return builder.finish()
-
-
+@cache
 def _antisymmetric_cap() -> Diagram:
     """The two-wire effect sqrt(2) * (<01| - <10|).
 
@@ -157,20 +144,6 @@ def _antisymmetric_cap() -> Diagram:
         generator(GeneratorKind.DARK_NOT, 1, 1),
     )
     return compose(generator(GeneratorKind.WHITE_SPIDER, 2, 0), nots)
-
-
-def _copy_layer(n: int) -> Diagram:
-    """n wires in, 2n out: output j and output n+j both copy input j."""
-    builder = DiagramBuilder()
-    ins: list = []
-    first: list = []
-    second: list = []
-    for _ in range(n):
-        spider = builder.node(GeneratorKind.WHITE_SPIDER)
-        ins.append(builder.leg(spider))
-        first.append(builder.leg(spider))
-        second.append(builder.leg(spider))
-    return builder.finish(inputs=ins, outputs=first + second)
 
 
 def _conjunction(names: Sequence[str]) -> Formula:
@@ -189,9 +162,15 @@ def build_state_eq(inst: SatCompareInstance) -> StateEqInstance:
     formula output is collapsed through an IS_TRUE effect.
     """
     is_true = gate_gadget(GateBlock.IS_TRUE)
-    d1 = compose(is_true, counting_branch(inst.psi, inst.x_vars, inst.y_vars))
-    d2 = compose(is_true, counting_branch(inst.rho, inst.x_vars, inst.z_vars))
-    return StateEqInstance(d1=d1, d2=d2)
+    pair = []
+    for phi, summed in ((inst.psi, inst.y_vars), (inst.rho, inst.z_vars)):
+        builder = DiagramBuilder()
+        fans = fan_spiders(builder, inst.x_vars)
+        inputs = [builder.leg(fan) for fan in fans.values()]
+        count = splice_formula(builder, phi, {**fans, **fan_spiders(builder, summed)})
+        builder.splice(is_true, [count])
+        pair.append(builder.finish(inputs=inputs))
+    return StateEqInstance(*pair)
 
 
 def dyadic_scalar(k: DyadicK) -> Diagram:
@@ -199,22 +178,25 @@ def dyadic_scalar(k: DyadicK) -> Diagram:
 
     The magnitude comes from collapsing the counting state of a formula
     with exactly |c| models through IS_TRUE; d stars supply the
-    denominator and a white-not gadget flips the sign when c < 0.
+    denominator.  When c < 0, a one-leg white not against a one-leg
+    dark not (together -2) and one more star flip the sign.
     """
     if k.c == 0:
         raise ValueError("the zero scalar has a dedicated construction")
     magnitude = abs(k.c)
     names = [f"w{i}" for i in range(1, magnitude.bit_length() + 1)]
-    counted = compose(
-        gate_gadget(GateBlock.IS_TRUE),
-        counting_state(formula_with_count(names, magnitude), names),
+    builder = DiagramBuilder()
+    count = splice_formula(
+        builder, formula_with_count(names, magnitude), fan_spiders(builder, names)
     )
-    parts = [counted]
-    if k.d:
-        parts.append(stars(k.d))
+    builder.splice(gate_gadget(GateBlock.IS_TRUE), [count])
+    for _ in range(k.d + (k.c < 0)):
+        builder.star()
     if k.c < 0:
-        parts.append(_minus_one())
-    return tensor_all(parts)
+        white = builder.node(GeneratorKind.WHITE_NOT)
+        dark = builder.node(GeneratorKind.DARK_NOT)
+        builder.connect(builder.leg(white), builder.leg(dark))
+    return builder.finish()
 
 
 def build_contains_entry(inst: SatCompareInstance, k: DyadicK) -> Diagram:
@@ -225,10 +207,10 @@ def build_contains_entry(inst: SatCompareInstance, k: DyadicK) -> Diagram:
     count(rho under v) - count(psi under v) + k on the nose.  Both
     formulae gain a guard variable forced to be false; for k = 1 the
     second branch also accepts the all-ones word, shifting its count by
-    one.  The two counting states meet an antisymmetric cap normalized
-    back down by a fixed scalar tail.  Any other nonzero k tensors the
-    k = 1 diagram with a closed scalar of value k, rescaling every
-    entry.
+    one.  The two counting branches share one fan per x variable and
+    meet an antisymmetric cap normalized back down by a fixed scalar
+    tail.  Any other nonzero k splices in a closed scalar of value k,
+    rescaling every entry.
     """
     guard_y = f"y{inst.m + 1}"
     guard_z = f"z{inst.m + 1}"
@@ -239,16 +221,20 @@ def build_contains_entry(inst: SatCompareInstance, k: DyadicK) -> Diagram:
     if k.c != 0:
         rho_prime = Or(rho_prime, _conjunction(zs))
 
-    pair = tensor(
-        counting_branch(psi_prime, inst.x_vars, ys),
-        counting_branch(rho_prime, inst.x_vars, zs),
-    )
-    effect = tensor_all(
-        [_antisymmetric_cap(), two_root_two(), stars(inst.m + 3)]
-    )
-    built = compose(effect, compose(pair, _copy_layer(inst.n)))
+    builder = DiagramBuilder()
+    fans = fan_spiders(builder, inst.x_vars)
+    inputs = [builder.leg(fan) for fan in fans.values()]
+    branches = [
+        splice_formula(builder, phi, {**fans, **fan_spiders(builder, summed)})
+        for phi, summed in ((psi_prime, ys), (rho_prime, zs))
+    ]
+    builder.splice(_antisymmetric_cap(), branches)
+    builder.splice(two_root_two())
+    for _ in range(inst.m + 3):
+        builder.star()
     if k.c != 0 and (k.c, k.d) != (1, 0):
-        built = tensor(built, dyadic_scalar(k))
+        builder.splice(dyadic_scalar(k))
+    built = builder.finish(inputs=inputs)
 
     _check_contains_entry(built, inst, k)
     return built
@@ -286,6 +272,7 @@ def build_circuit_extraction(phi: Formula, variables: Sequence[str]) -> Diagram:
     real multiple of a unitary for every formula.
     """
     builder = DiagramBuilder()
+    count = splice_formula(builder, phi, fan_spiders(builder, variables))
     control = builder.node(GeneratorKind.WHITE_SPIDER)
     flip = builder.node(GeneratorKind.WHITE_NOT)
     target_white = builder.node(GeneratorKind.WHITE_SPIDER)
@@ -299,11 +286,8 @@ def build_circuit_extraction(phi: Formula, variables: Sequence[str]) -> Diagram:
     builder.connect(builder.leg(target_white), builder.leg(target_dark))
     builder.connect(builder.leg(control), builder.leg(target_dark))
     target_out = builder.leg(target_dark)
-    control_in = builder.leg(control)
-    core = builder.finish(inputs=[target_in, control_in], outputs=[target_out])
-
-    names = list(variables)
-    return compose(core, tensor(identity(1), counting_state(phi, names)))
+    builder.connect(count, builder.leg(control))
+    return builder.finish(inputs=[target_in], outputs=[target_out])
 
 
 # -- verification -------------------------------------------------------------

@@ -25,6 +25,7 @@ from zhcalc.formula import (
     Const,
     Not,
     Or,
+    UnassignedVariable,
     Var,
     count_sat,
     parse_formula,
@@ -128,6 +129,13 @@ class TestToCnf:
         assert to_cnf(Const(True), ("x1",)).clauses == ()
         false_cnf = to_cnf(Const(False), ("x1",))
         assert count_sat(false_cnf.to_formula(), ("x1",)) == 0
+
+    def test_unlisted_variable_is_typed_as_in_count_sat(self) -> None:
+        phi = parse_formula("x1 & x3")
+        with pytest.raises(UnassignedVariable):
+            count_sat(phi, ("x1",))
+        with pytest.raises(UnassignedVariable, match="x3"):
+            to_cnf(phi, ("x1",))
 
 
 class TestWord01:

@@ -341,3 +341,50 @@ class TestBuilder:
         d = b.finish()
         assert d.validate() == []
         assert d.nodes == (Node(kind=STAR, degree=0),)
+
+
+class TestSplice:
+    def test_returns_output_legs_in_output_order(self) -> None:
+        b = DiagramBuilder()
+        x = b.node(X)
+        start = b.leg(x)
+        legs = b.splice(generator(Z, 1, 2), [b.leg(x)])
+        assert legs == [np(1, 1), np(1, 2)]
+        d = b.finish(inputs=[start], outputs=legs)
+        assert d == compose(generator(Z, 1, 2), generator(X, 1, 1))
+
+    def test_output_order_follows_the_boundary_not_the_nodes(self) -> None:
+        crossed = Diagram(
+            nodes=(Node(kind=X, degree=1), Node(kind=Z, degree=1)),
+            edges=((np(0, 0), outb(1)), (np(1, 0), outb(0))),
+            n_in=0,
+            n_out=2,
+        )
+        b = DiagramBuilder()
+        b.star()
+        assert b.splice(crossed) == [np(2, 0), np(1, 0)]
+
+    def test_pass_through_wire_returns_the_input_leg(self) -> None:
+        b = DiagramBuilder()
+        z = b.node(Z)
+        leg = b.leg(z)
+        assert b.splice(identity(1), [leg]) == [leg]
+        legs = b.splice(tensor(identity(1), generator(X, 1, 1)), [leg, b.leg(z)])
+        assert legs == [leg, np(1, 1)]
+
+    def test_rejects_an_arity_mismatch(self) -> None:
+        b = DiagramBuilder()
+        with pytest.raises(ValueError):
+            b.splice(generator(Z, 1, 1))
+        with pytest.raises(ValueError):
+            b.splice(generator(Z, 0, 1), [b.leg(b.node(Z))])
+
+    def test_rejects_a_cap_or_cup_across_the_boundary(self) -> None:
+        cap = Diagram(nodes=(), edges=((inb(0), inb(1)),), n_in=2, n_out=0)
+        cup = Diagram(nodes=(), edges=((outb(0), outb(1)),), n_in=0, n_out=2)
+        b = DiagramBuilder()
+        z = b.node(Z)
+        with pytest.raises(ValueError):
+            b.splice(cap, [b.leg(z), b.leg(z)])
+        with pytest.raises(ValueError):
+            b.splice(cup)

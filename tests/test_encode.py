@@ -211,11 +211,12 @@ class TestCountingState:
         assert evaluate(d).entries == {("1", ""): ONE}
 
     def test_iff_chain_costs_one_node_per_connective(self) -> None:
-        # Each <-> is one dark not, not a copy of both operands: 40 terms
-        # take two BOTH plugs, two fan spiders and 39 dark nots.
+        # Each <-> is one dark not, not a copy of both operands, and a
+        # summed variable is its fan alone: 40 terms take two fan
+        # spiders and 39 dark nots.
         phi = parse_formula(" <-> ".join(["x1", "x2"] * 20))
         d = counting_state(phi, ("x1", "x2"))
-        assert len(d.nodes) <= 40 + 3
+        assert len(d.nodes) == 2 + 39
         assert evaluate(d).entries == {("1", ""): ExactScalar(a=4, b=0, e=0)}
 
     def test_matches_count_sat_oracle(self) -> None:
