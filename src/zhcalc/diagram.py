@@ -10,14 +10,24 @@ Diagrams are immutable. ``compose`` and ``tensor`` build new values,
 ``DiagramBuilder`` assembles one incrementally (splicing in whole
 gadgets), and ``validate`` reports structural problems as data rather
 than exceptions so that callers can show all of them at once.
+
+Endpoints (``NodePort``, ``BoundaryPort``) and ``Node`` are named
+tuples, so building, hashing and comparing them runs in C. One
+consequence: each compares equal to the plain tuple of its fields, so
+``NodePort(node=0, port=1) == (0, 1)``. The builder keeps its internal
+legs as such plain pairs and makes ``NodePort``s only for the handles it
+returns and the diagram it finishes.
 """
 
 from __future__ import annotations
 
 import reprlib
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from itertools import chain
+from operator import itemgetter
+from typing import NamedTuple, Sequence, Union
 
 
 class GeneratorKind(Enum):
@@ -35,14 +45,12 @@ class ArityMismatch(ValueError):
     """Sequential composition with incompatible boundary widths."""
 
 
-@dataclass(frozen=True)
-class NodePort:
+class NodePort(NamedTuple):
     node: int
     port: int
 
 
-@dataclass(frozen=True)
-class BoundaryPort:
+class BoundaryPort(NamedTuple):
     side: str  # "in" or "out"
     pos: int
 
@@ -50,8 +58,7 @@ class BoundaryPort:
 Endpoint = Union[NodePort, BoundaryPort]
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     kind: GeneratorKind
     degree: int
 
@@ -63,17 +70,6 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.code}: {self.detail}"
-
-
-def _endpoint_key(ep: Endpoint) -> tuple:
-    if isinstance(ep, BoundaryPort):
-        return (0, ep.pos) if ep.side == "in" else (2, ep.pos)
-    return (1, ep.node, ep.port)
-
-
-def _edge_canonical(edge: tuple[Endpoint, Endpoint]) -> tuple[Endpoint, Endpoint]:
-    a, b = edge
-    return (a, b) if _endpoint_key(a) <= _endpoint_key(b) else (b, a)
 
 
 @dataclass(frozen=True)
@@ -92,72 +88,73 @@ class Diagram:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
-        canon = sorted(
-            (_edge_canonical(tuple(e)) for e in self.edges),
-            key=lambda e: (_endpoint_key(e[0]), _endpoint_key(e[1])),
-        )
-        object.__setattr__(self, "edges", tuple(canon))
+        # An endpoint's key puts inputs (0, pos) before node ports
+        # (1, NodePort), which compare as (node, port) tuples, before every
+        # other side (2, pos). Each edge lists its lower end first, and
+        # edges sort stably by their two keys.
+        keyed = []
+        for a, b in self.edges:
+            ka = (1, a) if type(a) is NodePort else (0 if a.side == "in" else 2, a.pos)
+            kb = (1, b) if type(b) is NodePort else (0 if b.side == "in" else 2, b.pos)
+            keyed.append(((ka, kb), (a, b)) if ka <= kb else ((kb, ka), (b, a)))
+        keyed.sort(key=itemgetter(0))
+        object.__setattr__(self, "edges", tuple(map(itemgetter(1), keyed)))
 
     # -- structural checks -------------------------------------------------
 
     def validate(self) -> list[Violation]:
         """Return all invariant violations, empty iff well formed."""
         out: list[Violation] = []
-        port_uses: dict[tuple[int, int], int] = {}
-        boundary_uses: dict[BoundaryPort, int] = {}
-        for a, b in self.edges:
-            for ep in (a, b):
-                if isinstance(ep, NodePort):
-                    if not 0 <= ep.node < len(self.nodes):
-                        out.append(
-                            Violation("UnknownNode", f"edge endpoint references node {ep.node}")
-                        )
-                        continue
-                    degree = self.nodes[ep.node].degree
-                    if not 0 <= ep.port < degree:
-                        out.append(
-                            Violation(
-                                "BadPort",
-                                f"node {ep.node} has degree {degree}, no port {ep.port}",
-                            )
-                        )
-                        continue
-                    key = (ep.node, ep.port)
-                    port_uses[key] = port_uses.get(key, 0) + 1
-                else:
-                    if ep.side not in ("in", "out"):
-                        out.append(Violation("BadBoundary", f"unknown side {ep.side!r}"))
-                        continue
-                    width = self.n_in if ep.side == "in" else self.n_out
-                    if not 0 <= ep.pos < width:
-                        out.append(
-                            Violation(
-                                "BadBoundary",
-                                f"{ep.side} boundary has width {width}, no position {ep.pos}",
-                            )
-                        )
-                        continue
-                    boundary_uses[ep] = boundary_uses.get(ep, 0) + 1
-        for (node, port), count in sorted(port_uses.items()):
-            if count > 1:
-                out.append(
-                    Violation(
-                        "DuplicatePort",
-                        f"port {port} of node {node} used {count} times",
-                    )
-                )
-        for i, node in enumerate(self.nodes):
-            if node.kind is GeneratorKind.STAR and node.degree != 0:
-                out.append(Violation("StarWithLegs", f"star node {i} has degree {node.degree}"))
-                continue
-            for port in range(node.degree):
-                if (i, port) not in port_uses:
+        degrees = [node.degree for node in self.nodes]
+        ports: list[NodePort] = []
+        ends: list[BoundaryPort] = []
+        for ep in chain.from_iterable(self.edges):
+            if type(ep) is NodePort:
+                node, port = ep
+                if not 0 <= node < len(degrees):
+                    out.append(Violation("UnknownNode", f"edge endpoint references node {node}"))
+                elif not 0 <= port < degrees[node]:
                     out.append(
-                        Violation("MissingPort", f"port {port} of node {i} is dangling")
+                        Violation(
+                            "BadPort", f"node {node} has degree {degrees[node]}, no port {port}"
+                        )
                     )
+                else:
+                    ports.append(ep)
+            elif ep.side not in ("in", "out"):
+                out.append(Violation("BadBoundary", f"unknown side {ep.side!r}"))
+            else:
+                width = self.n_in if ep.side == "in" else self.n_out
+                if 0 <= ep.pos < width:
+                    ends.append(ep)
+                else:
+                    out.append(
+                        Violation(
+                            "BadBoundary",
+                            f"{ep.side} boundary has width {width}, no position {ep.pos}",
+                        )
+                    )
+        port_uses = Counter(ports)
+        if len(port_uses) < len(ports):
+            for (node, port), count in sorted(port_uses.items()):
+                if count > 1:
+                    out.append(
+                        Violation("DuplicatePort", f"port {port} of node {node} used {count} times")
+                    )
+        # port_uses holds distinct real ports, so it has one per port
+        # exactly when none is dangling.
+        dangling = len(port_uses) < sum(max(degree, 0) for degree in degrees)
+        for i, (kind, degree) in enumerate(self.nodes):
+            if kind is GeneratorKind.STAR and degree != 0:
+                out.append(Violation("StarWithLegs", f"star node {i} has degree {degree}"))
+                continue
+            for port in range(degree) if dangling else ():
+                if (i, port) not in port_uses:
+                    out.append(Violation("MissingPort", f"port {port} of node {i} is dangling"))
+        boundary_uses = Counter(ends)
         for side, width in (("in", self.n_in), ("out", self.n_out)):
             for pos in range(width):
-                count = boundary_uses.get(BoundaryPort(side=side, pos=pos), 0)
+                count = boundary_uses[(side, pos)]
                 if count != 1:
                     out.append(
                         Violation(
@@ -449,14 +446,15 @@ class DiagramBuilder:
     returns the handle, ``connect`` joins two handles, ``splice`` copies
     in a whole diagram, and ``finish`` wires the remaining handles to the
     boundary in the given order. Every allocated leg must end up used
-    exactly once.
+    exactly once. Legs inside the builder are plain (node, port) pairs,
+    which hash and compare like the ``NodePort`` handles.
     """
 
     def __init__(self) -> None:
         self._kinds: list[GeneratorKind] = []
         self._degrees: list[int] = []
-        self._edges: list[tuple[NodePort, NodePort]] = []
-        self._used: set[NodePort] = set()
+        self._edges: list[tuple[tuple[int, int], tuple[int, int]]] = []
+        self._used: set[tuple[int, int]] = set()
 
     def node(self, kind: GeneratorKind) -> int:
         self._kinds.append(kind)
@@ -470,7 +468,7 @@ class DiagramBuilder:
             raise ValueError("star is a scalar; it has no legs")
         port = self._degrees[node_id]
         self._degrees[node_id] += 1
-        return NodePort(node=node_id, port=port)
+        return NodePort(node_id, port)
 
     def connect(self, a: NodePort, b: NodePort) -> None:
         for ep in (a, b):
@@ -487,26 +485,32 @@ class DiagramBuilder:
 
     def splice(self, gadget: Diagram, inputs: Sequence[NodePort] = ()) -> list[NodePort]:
         """Copy ``gadget`` in with its inputs wired to the legs ``inputs``;
-        return the legs at its outputs, in output order. Edges are
-        canonical, so an input end comes first and an output end last."""
+        return the legs at its outputs, in output order. Node ids shift
+        by the builder's node count. Edges are canonical, so an input end
+        comes first and an output end last."""
         if len(inputs) != gadget.n_in:
             raise ValueError(f"gadget takes {gadget.n_in} inputs, got {len(inputs)}")
         base = len(self._kinds)
-        self._kinds += [node.kind for node in gadget.nodes]
-        self._degrees += [node.degree for node in gadget.nodes]
+        self._kinds += map(itemgetter(0), gadget.nodes)
+        self._degrees += map(itemgetter(1), gadget.nodes)
+        used, edges = self._used, self._edges
         outputs: list = [None] * gadget.n_out
         for a, b in gadget.edges:
-            near = (
-                NodePort(node=a.node + base, port=a.port)
-                if type(a) is NodePort
-                else inputs[a.pos] if a.side == "in" else None
-            )
-            if type(b) is NodePort:
-                self.connect(near, NodePort(node=b.node + base, port=b.port))
-            elif near is None or b.side == "in":
-                raise ValueError("a gadget wire joins two inputs or two outputs")
+            if type(a) is NodePort:
+                near = (a.node + base, a.port)
             else:
-                outputs[b.pos] = near
+                near = inputs[a.pos] if a.side == "in" else None
+            if type(b) is not NodePort:
+                if near is None or b.side == "in":
+                    raise ValueError("a gadget wire joins two inputs or two outputs")
+                outputs[b.pos] = NodePort(*near)
+                continue
+            far = (b.node + base, b.port)
+            if near in used or far in used or near == far:
+                self.connect(NodePort(*near), NodePort(*far))  # raises its error
+            used.add(near)
+            used.add(far)
+            edges.append((near, far))
         if None in outputs:
             raise ValueError(f"gadget output {outputs.index(None)} is on no wire")
         return outputs
@@ -516,20 +520,22 @@ class DiagramBuilder:
         inputs: list[NodePort] = (),
         outputs: list[NodePort] = (),
     ) -> Diagram:
-        edges: list[tuple[Endpoint, Endpoint]] = list(self._edges)
+        used = self._used
+        ends: list[tuple[Endpoint, NodePort]] = []
         for side, stubs in (("in", inputs), ("out", outputs)):
             for pos, stub in enumerate(stubs):
-                if stub in self._used:
+                if stub in used:
                     raise ValueError(f"leg {stub} is already connected")
-                self._used.add(stub)
-                edges.append((BoundaryPort(side=side, pos=pos), stub))
+                used.add(stub)
+                ends.append((BoundaryPort(side, pos), stub))
         for node_id, degree in enumerate(self._degrees):
             for port in range(degree):
-                if NodePort(node=node_id, port=port) not in self._used:
+                if (node_id, port) not in used:
                     raise ValueError(f"port {port} of node {node_id} was never connected")
-        nodes = tuple(
-            Node(kind=k, degree=d) for k, d in zip(self._kinds, self._degrees)
-        )
+        edges = [(NodePort(*a), NodePort(*b)) for a, b in self._edges]
         return Diagram(
-            nodes=nodes, edges=tuple(edges), n_in=len(inputs), n_out=len(outputs)
+            nodes=tuple(map(Node, self._kinds, self._degrees)),
+            edges=tuple(edges + ends),
+            n_in=len(inputs),
+            n_out=len(outputs),
         )

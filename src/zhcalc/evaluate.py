@@ -16,18 +16,19 @@ bits inside the same engine, so it builds no plugged diagram.
 Inside the engine a factor's table holds plain (a, b) int pairs under one
 exponent e per factor, each read as (a + b*sqrt(2)) / 2**e, so products
 and sums are int arithmetic; factors without wires are multiplied into
-one scalar instead. Values are canonicalized into ``ExactScalar``
-only on exit, when the ``ExactMatrix`` is assembled. Each generator's
-table is built once per (kind, pattern of (slot, parity) legs) within
-a call.
+one scalar instead. Legless nodes and two-leg dark wires never become
+factors: they are counted per kind, and each kind's value is raised to
+its count by repeated squaring. Values are canonicalized into
+``ExactScalar`` only on exit, when the ``ExactMatrix`` is assembled.
+Each generator's table is built once per (kind, pattern of (slot,
+parity) legs) within a call.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from operator import itemgetter
 from typing import Iterator, Sequence, Union
 
@@ -281,9 +282,10 @@ def _node_factor(
     slot_of = {i: s for s, i in enumerate(distinct)}
     pattern = tuple((slot_of[i], parity) for i, parity in legs)
     key = (kind, pattern)
-    if key not in templates:
-        templates[key] = _template(kind, pattern, len(distinct))
-    table, e = templates[key]
+    template = templates.get(key)
+    if template is None:
+        template = templates[key] = _template(kind, pattern, len(distinct))
+    table, e = template
     return _Factor(wires=distinct, table=table, e=e)
 
 
@@ -315,6 +317,17 @@ def _template(
             shift = e - value.e
             table[slots] = (a + (value.a << shift), b + (value.b << shift))
     return {k: v for k, v in table.items() if v != (0, 0)}, e
+
+
+def _power(a: int, b: int, n: int) -> tuple[int, int]:
+    """(a + b*sqrt(2))**n by repeated squaring, as an (a, b) pair."""
+    ra, rb = 1, 0
+    while n:
+        if n & 1:
+            ra, rb = ra * a + 2 * rb * b, ra * b + rb * a
+        a, b = a * a + 2 * b * b, 2 * a * b
+        n >>= 1
+    return ra, rb
 
 
 def _picker(idx: list[int]):
@@ -399,8 +412,9 @@ def _contract(
     out_wire = [-1] * d.n_out
     for widx, (a, b) in enumerate(d.edges):
         for ep in (a, b):
-            if isinstance(ep, NodePort):
-                node_slots[ep.node][ep.port] = widx
+            if type(ep) is NodePort:
+                node, port = ep
+                node_slots[node][port] = widx
             else:
                 target = in_wire if ep.side == "in" else out_wire
                 target[ep.pos] = widx
@@ -439,40 +453,40 @@ def _contract(
 
     dark = (GeneratorKind.DARK_SPIDER, GeneratorKind.DARK_NOT)
     odd = 0
-    for nid, node in enumerate(d.nodes):
-        legs = node_slots[nid]
-        if node.kind in (GeneratorKind.WHITE_SPIDER, GeneratorKind.WHITE_NOT):
+    for (kind, degree), legs in zip(d.nodes, node_slots):
+        if kind in (GeneratorKind.WHITE_SPIDER, GeneratorKind.WHITE_NOT):
             for w in legs[1:]:
                 odd |= union(legs[0], w, 0)
-        elif node.kind in dark and node.degree == 2:
-            odd |= union(*legs, node.kind is GeneratorKind.DARK_NOT)
+        elif kind in dark and degree == 2:
+            odd |= union(*legs, kind is GeneratorKind.DARK_NOT)
     if odd:
         return ExactMatrix(n_out=len(out_wire), n_in=len(in_wire), entries={})
 
     # A fused white spider is a plain index; a fused white not adds its
     # sign as a one-leg table, and a fused dark one a wireless sqrt(2).
     # Legless nodes, and closed indices no factor holds (traced loops,
-    # legless white spiders worth 2), are kept apart as wireless factors,
-    # one table per kind. Pins have at most one leg.
+    # legless white spiders worth 2), are wireless too. These are only
+    # counted, and enter the scalar as powers; legless nodes are listed
+    # by kind and counted by list.count, since an enum hashes in Python.
+    # Pins have at most one leg.
     templates: dict[tuple, tuple[dict, int]] = {}
     unit = _Factor(wires=(), table={(): (1, 0)})
-    root2 = _Factor(wires=(), table={(): (0, 1)})
     factors: dict[int, _Factor] = {}
     wireless: list[_Factor] = []
-    legless: Counter[GeneratorKind] = Counter()
-    for node, wires in list(zip(d.nodes, node_slots)) + pins:
+    legless: list[GeneratorKind] = []
+    root2s = 0
+    for (kind, degree), wires in chain(zip(d.nodes, node_slots), pins):
         if not wires:
-            legless[node.kind] += 1
+            legless.append(kind)
+        elif kind is GeneratorKind.WHITE_SPIDER:
             continue
-        if node.kind is GeneratorKind.WHITE_SPIDER:
-            continue
-        if node.kind in dark and node.degree == 2:
-            wireless.append(root2)
-            continue
-        slots = [find(w) for w in wires]
-        if node.kind is GeneratorKind.WHITE_NOT:
-            slots = slots[:1]
-        factors[len(factors)] = _node_factor(node.kind, slots, templates)
+        elif kind in dark and degree == 2:
+            root2s += 1
+        else:
+            slots = [find(w) for w in wires]
+            if kind is GeneratorKind.WHITE_NOT:
+                slots = slots[:1]
+            factors[len(factors)] = _node_factor(kind, slots, templates)
     holders: dict[int, set[int]] = {find(w)[0]: set() for w in range(len(d.edges))}
     for fid, factor in factors.items():
         for i in factor.wires:
@@ -481,9 +495,7 @@ def _contract(
     open_indices = {i for i, _ in in_wire + out_wire}
     for i in [i for i, fids in holders.items() if not fids and i not in open_indices]:
         del holders[i]
-        legless[GeneratorKind.WHITE_SPIDER] += 1
-    for kind, n in legless.items():
-        wireless += [_node_factor(kind, (), templates)] * n
+        legless.append(GeneratorKind.WHITE_SPIDER)
 
     # Bucket elimination: pop the cheapest closed index, join its owners
     # from the first, and sum it out at the last join; a lone owner sums
@@ -522,16 +534,24 @@ def _contract(
     # sparse table, then expand the open indices no factor holds. Values
     # become ExactScalar only here, times the product (sa, sb, se) of the
     # wireless factors. Each boundary bit is its index's bit XOR its
-    # parity, so each (key, free bits) pair lands on its own entry.
+    # parity, so each (key, free bits) pair lands on its own entry. The
+    # counted sqrt(2)s and legless kinds enter as powers.
     combined, *rest = [factors[fid] for fid in sorted(factors)] or [unit]
     for factor in rest:
         combined = _join(combined, factor, set())
     free = sorted(open_indices - set(combined.wires))
+    powers = [(_Factor(wires=(), table={(): (0, 1)}), root2s)]
+    powers += [
+        (_node_factor(kind, (), templates), legless.count(kind))
+        for kind in GeneratorKind
+        if kind in legless
+    ]
+    powers += [(factor, 1) for factor in wireless]
     sa, sb, se = 1, 0, 0
-    for factor in wireless:
-        fa, fb = factor.table.get((), (0, 0))  # an empty table is zero
+    for factor, count in powers:
+        fa, fb = _power(*factor.table.get((), (0, 0)), count)  # an empty table is zero
         sa, sb = sa * fa + 2 * sb * fb, sa * fb + sb * fa
-        se += factor.e
+        se += factor.e * count
 
     entries: dict[tuple[str, str], ExactScalar] = {}
     for key, (a, b) in combined.table.items() if sa or sb else ():

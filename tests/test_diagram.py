@@ -131,6 +131,147 @@ class TestValidate:
             assert random_diagram(rng).validate() == []
 
 
+class TestValidateMessages:
+    """The full ``validate`` list, in order, on hand-made malformed
+    diagrams covering all seven codes."""
+
+    @staticmethod
+    def messages(d: Diagram) -> list[str]:
+        return [str(v) for v in d.validate()]
+
+    def test_unknown_node(self) -> None:
+        d = Diagram(
+            nodes=(), edges=((np(0, 0), outb(0)), (np(-1, 0), inb(0))), n_in=1, n_out=1
+        )
+        assert self.messages(d) == [
+            "UnknownNode: edge endpoint references node -1",
+            "UnknownNode: edge endpoint references node 0",
+        ]
+
+    def test_bad_port(self) -> None:
+        d = Diagram(
+            nodes=(Node(kind=Z, degree=2),),
+            edges=((np(0, 3), outb(0)), (np(0, -1), np(0, 0))),
+            n_in=0,
+            n_out=1,
+        )
+        assert self.messages(d) == [
+            "BadPort: node 0 has degree 2, no port -1",
+            "BadPort: node 0 has degree 2, no port 3",
+            "MissingPort: port 1 of node 0 is dangling",
+        ]
+
+    def test_bad_boundary(self) -> None:
+        d = Diagram(
+            nodes=(),
+            edges=((inb(0), outb(5)), (BoundaryPort(side="up", pos=0), inb(-1))),
+            n_in=1,
+            n_out=1,
+        )
+        assert self.messages(d) == [
+            "BadBoundary: in boundary has width 1, no position -1",
+            "BadBoundary: unknown side 'up'",
+            "BadBoundary: out boundary has width 1, no position 5",
+            "BoundaryDegree: out position 0 appears in 0 edges, wanted 1",
+        ]
+
+    def test_duplicate_port(self) -> None:
+        d = Diagram(
+            nodes=(Node(kind=Z, degree=2), Node(kind=X, degree=1)),
+            edges=(
+                (np(1, 0), outb(0)),
+                (np(0, 1), np(1, 0)),
+                (np(0, 1), np(0, 1)),
+            ),
+            n_in=0,
+            n_out=1,
+        )
+        assert self.messages(d) == [
+            "DuplicatePort: port 1 of node 0 used 3 times",
+            "DuplicatePort: port 0 of node 1 used 2 times",
+            "MissingPort: port 0 of node 0 is dangling",
+        ]
+
+    def test_missing_port(self) -> None:
+        d = Diagram(
+            nodes=(Node(kind=Z, degree=2), Node(kind=GeneratorKind.H_BOX, degree=3)),
+            edges=((np(1, 1), np(0, 0)),),
+            n_in=0,
+            n_out=0,
+        )
+        assert self.messages(d) == [
+            "MissingPort: port 1 of node 0 is dangling",
+            "MissingPort: port 0 of node 1 is dangling",
+            "MissingPort: port 2 of node 1 is dangling",
+        ]
+
+    def test_star_with_legs(self) -> None:
+        d = Diagram(
+            nodes=(
+                Node(kind=STAR, degree=2),
+                Node(kind=STAR, degree=0),
+                Node(kind=STAR, degree=1),
+            ),
+            edges=((np(0, 0), outb(0)),),
+            n_in=0,
+            n_out=1,
+        )
+        assert self.messages(d) == [
+            "StarWithLegs: star node 0 has degree 2",
+            "StarWithLegs: star node 2 has degree 1",
+        ]
+
+    def test_boundary_degree(self) -> None:
+        d = Diagram(
+            nodes=(),
+            edges=((inb(0), outb(0)), (inb(0), outb(0)), (inb(2), outb(2))),
+            n_in=2,
+            n_out=3,
+        )
+        assert self.messages(d) == [
+            "BadBoundary: in boundary has width 2, no position 2",
+            "BoundaryDegree: in position 0 appears in 2 edges, wanted 1",
+            "BoundaryDegree: in position 1 appears in 0 edges, wanted 1",
+            "BoundaryDegree: out position 0 appears in 2 edges, wanted 1",
+            "BoundaryDegree: out position 1 appears in 0 edges, wanted 1",
+        ]
+
+    def test_several_faults_at_once(self) -> None:
+        d = Diagram(
+            nodes=(Node(kind=Z, degree=3), Node(kind=STAR, degree=1), Node(kind=X, degree=1)),
+            edges=(
+                (np(0, 0), np(0, 0)),
+                (np(0, 5), outb(0)),
+                (np(7, 0), inb(0)),
+                (np(1, 0), outb(3)),
+                (BoundaryPort(side="up", pos=0), np(2, 0)),
+                (outb(1), inb(0)),
+            ),
+            n_in=1,
+            n_out=2,
+        )
+        # Canonical order: inputs, then node ports, then every other side.
+        assert d.edges == (
+            (inb(0), np(7, 0)),
+            (inb(0), outb(1)),
+            (np(0, 0), np(0, 0)),
+            (np(0, 5), outb(0)),
+            (np(1, 0), outb(3)),
+            (np(2, 0), BoundaryPort(side="up", pos=0)),
+        )
+        assert self.messages(d) == [
+            "UnknownNode: edge endpoint references node 7",
+            "BadPort: node 0 has degree 3, no port 5",
+            "BadBoundary: out boundary has width 2, no position 3",
+            "BadBoundary: unknown side 'up'",
+            "DuplicatePort: port 0 of node 0 used 2 times",
+            "MissingPort: port 1 of node 0 is dangling",
+            "MissingPort: port 2 of node 0 is dangling",
+            "StarWithLegs: star node 1 has degree 1",
+            "BoundaryDegree: in position 0 appears in 2 edges, wanted 1",
+        ]
+
+
 class TestCompose:
     def test_arity_mismatch(self) -> None:
         with pytest.raises(ArityMismatch):
@@ -388,3 +529,117 @@ class TestSplice:
             b.splice(cap, [b.leg(z), b.leg(z)])
         with pytest.raises(ValueError):
             b.splice(cup)
+
+
+def _message(call, *args, **kwargs) -> str:
+    with pytest.raises(ValueError) as info:
+        call(*args, **kwargs)
+    return str(info.value)
+
+
+class TestBuilderErrors:
+    """The exact message of each error ``DiagramBuilder`` raises."""
+
+    def test_leg_on_a_missing_node(self) -> None:
+        b = DiagramBuilder()
+        b.node(Z)
+        assert _message(b.leg, 1) == "no node 1"
+        assert _message(b.leg, -1) == "no node -1"
+
+    def test_leg_on_a_star(self) -> None:
+        b = DiagramBuilder()
+        assert _message(b.leg, b.star()) == "star is a scalar; it has no legs"
+
+    def test_double_connect(self) -> None:
+        b = DiagramBuilder()
+        z = b.node(Z)
+        first, second, third = b.leg(z), b.leg(z), b.leg(z)
+        b.connect(first, second)
+        taken = "leg NodePort(node=0, port=0) is already connected"
+        assert _message(b.connect, third, first) == taken
+        assert _message(b.connect, first, third) == taken
+
+    def test_self_connect(self) -> None:
+        b = DiagramBuilder()
+        leg = b.leg(b.node(Z))
+        assert _message(b.connect, leg, leg) == (
+            "cannot connect a leg to itself; allocate two legs"
+        )
+
+    def test_port_left_dangling_at_finish(self) -> None:
+        b = DiagramBuilder()
+        z = b.node(Z)
+        out = b.leg(z)
+        b.leg(z)
+        x = b.node(X)
+        b.connect(b.leg(z), b.leg(x))
+        b.leg(x)
+        assert _message(b.finish, outputs=[out]) == "port 1 of node 0 was never connected"
+
+    def test_stub_reused_at_finish(self) -> None:
+        b = DiagramBuilder()
+        z = b.node(Z)
+        first, second = b.leg(z), b.leg(z)
+        b.connect(first, second)
+        assert _message(b.finish, outputs=[first]) == (
+            "leg NodePort(node=0, port=0) is already connected"
+        )
+        b = DiagramBuilder()
+        stub = b.leg(b.node(Z))
+        assert _message(b.finish, inputs=[stub], outputs=[stub]) == (
+            "leg NodePort(node=0, port=0) is already connected"
+        )
+
+    def test_splice_arity_mismatch(self) -> None:
+        b = DiagramBuilder()
+        assert _message(b.splice, generator(Z, 1, 1)) == "gadget takes 1 inputs, got 0"
+        leg = b.leg(b.node(Z))
+        assert _message(b.splice, generator(Z, 0, 1), [leg]) == (
+            "gadget takes 0 inputs, got 1"
+        )
+
+    def test_cap_or_cup_across_the_boundary(self) -> None:
+        cap = Diagram(nodes=(), edges=((inb(0), inb(1)),), n_in=2, n_out=0)
+        cup = Diagram(nodes=(), edges=((outb(0), outb(1)),), n_in=0, n_out=2)
+        b = DiagramBuilder()
+        z = b.node(Z)
+        crossing = "a gadget wire joins two inputs or two outputs"
+        assert _message(b.splice, cap, [b.leg(z), b.leg(z)]) == crossing
+        assert _message(b.splice, cup) == crossing
+
+    def test_gadget_output_on_no_wire(self) -> None:
+        half = Diagram(
+            nodes=(Node(kind=Z, degree=1),), edges=((np(0, 0), outb(0)),), n_in=0, n_out=2
+        )
+        b = DiagramBuilder()
+        assert _message(b.splice, half) == "gadget output 1 is on no wire"
+
+    def test_gadget_port_on_two_edges(self) -> None:
+        forked = Diagram(
+            nodes=(Node(kind=Z, degree=1), Node(kind=X, degree=1), Node(kind=X, degree=1)),
+            edges=((np(0, 0), np(1, 0)), (np(0, 0), np(2, 0))),
+            n_in=0,
+            n_out=0,
+        )
+        looped = Diagram(
+            nodes=(Node(kind=Z, degree=1),), edges=((np(0, 0), np(0, 0)),), n_in=0, n_out=0
+        )
+        b = DiagramBuilder()
+        b.star()
+        assert _message(b.splice, forked) == (
+            "leg NodePort(node=1, port=0) is already connected"
+        )
+        b = DiagramBuilder()
+        b.star()
+        assert _message(b.splice, looped) == (
+            "cannot connect a leg to itself; allocate two legs"
+        )
+
+    def test_splice_into_a_connected_leg(self) -> None:
+        b = DiagramBuilder()
+        z = b.node(Z)
+        first, second = b.leg(z), b.leg(z)
+        b.connect(first, second)
+        assert _message(b.splice, generator(X, 1, 1), [second]) == (
+            "leg NodePort(node=0, port=1) is already connected"
+        )

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from itertools import product
 
 import pytest
 
 import zhcalc.reductions as reductions
-from zhcalc.corpus import random_formula
+from zhcalc.corpus import random_cnf, random_formula, random_sat_compare
 from zhcalc.diagram import ArityMismatch, GeneratorKind, identity
+from zhcalc.encode import counting_state, encode_formula
 from zhcalc.evaluate import apply_basis, evaluate, identity_matrix, matrix_compose
 from zhcalc.formula import (
     Const,
@@ -317,3 +320,32 @@ class TestVerifyInstance:
         notes = verify_instance(worked_instance())
         assert len(notes) == 3
         assert all(note.startswith("contains-entry k=") for note in notes)
+
+
+class TestBuilderBytes:
+    # SHA-256 over the sorted-key JSON of every diagram below, taken at
+    # 4a0ebbd. A builder change that alters any diagram's bytes (node
+    # order, port numbering, edge order) must move this on purpose.
+    DIGEST = "bc36fdcad79185ef0e057d60d9f8fa300f5008fa12d5b76153a7d077425bbc38"
+
+    def test_builders_are_byte_identical(self) -> None:
+        rng = random.Random(2024)
+        digest = hashlib.sha256()
+        ks = (DyadicK(0, 0), DyadicK(1, 0), DyadicK(3, 2))
+        for _ in range(12):
+            inst = random_sat_compare(rng)
+            names = inst.x_vars + inst.y_vars
+            cnf = random_cnf(rng, 5, 10)
+            pair = build_state_eq(inst)
+            built = [
+                counting_state(cnf.to_formula(), cnf.variables),
+                counting_state(inst.psi, names),
+                encode_formula(inst.psi, names),
+                pair.d1,
+                pair.d2,
+                *(build_contains_entry(inst, k) for k in ks),
+                build_circuit_extraction(inst.rho, inst.x_vars + inst.z_vars),
+            ]
+            for d in built:
+                digest.update(json.dumps(d.to_json(), sort_keys=True).encode())
+        assert digest.hexdigest() == self.DIGEST
