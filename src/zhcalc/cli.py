@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .corpus import random_sat_compare
 from .diagram import Diagram
 from .encode import counting_state, encode_formula
 from .evaluate import evaluate
@@ -192,6 +191,10 @@ def _cmd_solve_is_zero(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # Only this command draws random instances; importing the corpus here
+    # keeps it (and the CNF module it needs) out of every other command.
+    from .corpus import random_sat_compare
+
     if args.random < 0:
         raise ValueError("--random N must be non-negative")
     if args.instance is None and not args.random:

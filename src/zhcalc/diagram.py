@@ -320,8 +320,7 @@ def generator(kind: GeneratorKind, m: int, n: int) -> Diagram:
 
 def _basis_nodes(bit: bool) -> tuple[Node, Node]:
     """The nodes of |bit> and <bit|: a star times a one-leg dark spider
-    (bit 0) or dark not (bit 1). ``apply_basis`` pins boundary bits with
-    the same two nodes."""
+    (bit 0) or dark not (bit 1), which is the Kronecker delta on bit."""
     kind = GeneratorKind.DARK_NOT if bit else GeneratorKind.DARK_SPIDER
     return Node(kind=GeneratorKind.STAR, degree=0), Node(kind=kind, degree=1)
 
@@ -446,8 +445,9 @@ class DiagramBuilder:
     returns the handle, ``connect`` joins two handles, ``splice`` copies
     in a whole diagram, and ``finish`` wires the remaining handles to the
     boundary in the given order. Every allocated leg must end up used
-    exactly once. Legs inside the builder are plain (node, port) pairs,
-    which hash and compare like the ``NodePort`` handles.
+    exactly once, and a caller-given leg never allocated is refused.
+    Legs inside the builder are plain (node, port) pairs, which hash and
+    compare like the ``NodePort`` handles.
     """
 
     def __init__(self) -> None:
@@ -470,8 +470,15 @@ class DiagramBuilder:
         self._degrees[node_id] += 1
         return NodePort(node_id, port)
 
+    def _allocated(self, ep: NodePort) -> None:
+        """Raise unless this builder's ``leg`` handed out ``ep``."""
+        node, port = ep
+        if not (0 <= node < len(self._degrees) and 0 <= port < self._degrees[node]):
+            raise ValueError(f"leg {ep} was never allocated by this builder")
+
     def connect(self, a: NodePort, b: NodePort) -> None:
         for ep in (a, b):
+            self._allocated(ep)
             if ep in self._used:
                 raise ValueError(f"leg {ep} is already connected")
         if a == b:
@@ -490,6 +497,8 @@ class DiagramBuilder:
         comes first and an output end last."""
         if len(inputs) != gadget.n_in:
             raise ValueError(f"gadget takes {gadget.n_in} inputs, got {len(inputs)}")
+        for leg in inputs:
+            self._allocated(leg)
         base = len(self._kinds)
         self._kinds += map(itemgetter(0), gadget.nodes)
         self._degrees += map(itemgetter(1), gadget.nodes)
@@ -524,6 +533,7 @@ class DiagramBuilder:
         ends: list[tuple[Endpoint, NodePort]] = []
         for side, stubs in (("in", inputs), ("out", outputs)):
             for pos, stub in enumerate(stubs):
+                self._allocated(stub)
                 if stub in used:
                     raise ValueError(f"leg {stub} is already connected")
                 used.add(stub)

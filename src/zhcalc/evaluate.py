@@ -11,7 +11,16 @@ over the indices: a factor stores only its nonzero entries, and each
 closed index is summed out once every factor holding it is joined, either
 greedily (fewest indices spanned first) or in edge order. The two orders
 must agree exactly; tests rely on that. ``apply_basis`` pins its basis
-bits inside the same engine, so it builds no plugged diagram.
+bits inside the same engine by slicing: a pinned bit fixes its index,
+so every table on it keeps only the entries with that bit, the index is
+never summed, and no plugged diagram is built.
+
+Each call splits into a compile and a run. The compile (``_plan``)
+validates the diagram, fuses its wires and lists each factor node's
+legs as (index, parity) pairs; it does not depend on pins. The last plan
+is kept, holding its diagram by weak reference, and reused when the
+same object comes back, as when a builder's self-check pins a diagram
+that its solver then evaluates open.
 
 Inside the engine a factor's table holds plain (a, b) int pairs under one
 exponent e per factor, each read as (a + b*sqrt(2)) / 2**e, so products
@@ -20,25 +29,21 @@ one scalar instead. Legless nodes and two-leg dark wires never become
 factors: they are counted per kind, and each kind's value is raised to
 its count by repeated squaring. Values are canonicalized into
 ``ExactScalar`` only on exit, when the ``ExactMatrix`` is assembled.
-Each generator's table is built once per (kind, pattern of (slot,
-parity) legs) within a call.
+A generator's table depends only on its kind and its pattern of
+(slot, parity) legs; tables of at most 8 legs are kept for the process,
+and wider ones are built per call.
 """
 
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 from operator import itemgetter
 from typing import Iterator, Sequence, Union
 
-from .diagram import (
-    ArityMismatch,
-    Diagram,
-    GeneratorKind,
-    NodePort,
-    _basis_nodes,
-)
+from .diagram import ArityMismatch, Diagram, GeneratorKind, NodePort
 from .scalar import ExactScalar, ONE, TWO, HALF, ZERO, sqrt2_pow
 
 DEFAULT_MAX_BOUNDARY = 22
@@ -264,41 +269,52 @@ class _Factor:
     e: int = 0
 
 
+# Generators with at most this many legs (so at most 256 support
+# entries) keep their tables for the process. A wider generator's table,
+# up to 2**22 entries, is built per call and dropped with its factor.
+_CACHED_LEGS = 8
+_TEMPLATES: dict[tuple, tuple[dict, int]] = {}
+
+
 def _node_factor(
-    kind: GeneratorKind,
-    legs: Sequence[tuple[int, int]],
-    templates: dict[tuple, tuple[dict, int]],
+    kind: GeneratorKind, legs: Sequence[tuple[int | None, int]]
 ) -> _Factor:
-    """A generator's factor over the distinct indices its legs read.
+    """A generator's factor over the distinct free indices its legs read.
 
     Leg i reads the bit of index legs[i][0] flipped by the parity
-    legs[i][1]. The table depends only on the kind and the pattern of
-    (slot, parity) pairs (slot i holds the i-th distinct index; one pair
-    per leg, so the pattern also fixes the degree). It is built once per
-    pattern and kept in ``templates``, which belongs to one ``evaluate``
-    call.
+    legs[i][1]; a leg on a fixed index has index None and reads the
+    constant bit legs[i][1]. The table depends only on the kind and the
+    pattern of (slot, parity) pairs (slot i holds the i-th distinct free
+    index, and a constant leg keeps slot None; one pair per leg, so the
+    pattern also fixes the degree). Patterns of at most _CACHED_LEGS legs
+    keep their tables in ``_TEMPLATES``.
     """
-    distinct = tuple(dict.fromkeys(i for i, _ in legs))
-    slot_of = {i: s for s, i in enumerate(distinct)}
-    pattern = tuple((slot_of[i], parity) for i, parity in legs)
-    key = (kind, pattern)
-    template = templates.get(key)
+    slot_of: dict[int, int] = {}
+    pattern = []
+    for i, parity in legs:
+        pattern.append((None if i is None else slot_of.setdefault(i, len(slot_of)), parity))
+    key = (kind, tuple(pattern))
+    template = _TEMPLATES.get(key)
     if template is None:
-        template = templates[key] = _template(kind, pattern, len(distinct))
+        template = _template(kind, key[1], len(slot_of))
+        if len(pattern) <= _CACHED_LEGS:
+            _TEMPLATES[key] = template
     table, e = template
-    return _Factor(wires=distinct, table=table, e=e)
+    return _Factor(tuple(slot_of), table, e)
 
 
 def _template(
-    kind: GeneratorKind, pattern: tuple[tuple[int, int], ...], width: int
+    kind: GeneratorKind, pattern: tuple[tuple[int | None, int], ...], width: int
 ) -> tuple[dict[tuple[int, ...], tuple[int, int]], int]:
     """Project a generator's support onto ``width`` distinct indices.
 
     Each leg's bit is its slot's index bit XOR its parity. When two legs
     share a slot (a self-loop, or legs fused into one index), support
     entries that disagree on that index vanish, and the survivors are
-    keyed by one bit per distinct index. Values are put over the largest
-    exponent in the support.
+    keyed by one bit per distinct index. A constant leg (None, c) keeps
+    only the entries whose bit on that leg is c, so a pinned index
+    slices the table instead of joining it. Values are put over the
+    largest exponent in the support.
     """
     support = list(_generator_support(kind, len(pattern)))
     e = max((value.e for _, value in support), default=0)
@@ -307,7 +323,10 @@ def _template(
         key: list[int | None] = [None] * width
         for (slot, parity), bit in zip(pattern, bits):
             bit ^= parity
-            if key[slot] is None:
+            if slot is None:
+                if bit:
+                    break
+            elif key[slot] is None:
                 key[slot] = bit
             elif key[slot] != bit:
                 break
@@ -383,29 +402,53 @@ def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
     return _contract(d, order)
 
 
-def _contract(
-    d: Diagram, order: str, side: str = "in", bits: Sequence[int] = ()
-) -> ExactMatrix:
-    """``evaluate`` with the first len(bits) boundary positions of ``side``
-    pinned to ``bits``, each by the nodes of ``_basis_nodes`` on its
-    index. Only unpinned wires count against DEFAULT_MAX_BOUNDARY."""
+@dataclass(frozen=True)
+class _Plan:
+    """What every contraction of one valid diagram shares, whatever it
+    pins. Each boundary position and each factor node's leg is an
+    (index, parity) pair, reading the bit of its fused index XOR the
+    parity. ``too_wide`` is the refusal a node with too many enumerated
+    legs earns, ``odd`` marks an odd cycle of NOT wires, ``legless``
+    counts legless nodes per kind, and ``root2s`` the two-leg dark
+    generators fused into wires."""
+
+    too_wide: str | None
+    odd: int
+    in_wire: list[tuple[int, int]]
+    out_wire: list[tuple[int, int]]
+    indices: list[int]
+    factors: list[tuple[GeneratorKind, list[tuple[int, int]]]]
+    legless: list[tuple[GeneratorKind, int]]
+    root2s: int
+
+
+# The last plan made, with a weak reference to its diagram: a diagram
+# evaluated again straight away (a builder's self-check, then its solver)
+# is compiled once, and the cache keeps no diagram alive.
+_last_plan: tuple[weakref.ref, _Plan] | None = None
+
+
+def _plan(d: Diagram) -> _Plan:
+    """Validate ``d``, fuse its wires into indices and list its factor
+    nodes' legs; or return the last plan, if it was made for ``d``."""
+    global _last_plan
+    last = _last_plan  # read once, so another thread's plan is never mixed in
+    if last is not None and last[0]() is d:
+        return last[1]
     problems = d.validate()
     if problems:
         shown = "; ".join(str(p) for p in problems[:3])
         raise InvalidDiagram(f"{len(problems)} problem(s), first: {shown}")
-    unpinned = d.n_in + d.n_out - len(bits)
-    if unpinned > DEFAULT_MAX_BOUNDARY:
-        raise TooLarge(
-            f"{unpinned} unpinned boundary wires exceed the bound of "
-            f"{DEFAULT_MAX_BOUNDARY}"
-        )
     enumerated = (GeneratorKind.H_BOX, GeneratorKind.DARK_SPIDER, GeneratorKind.DARK_NOT)
-    for nid, node in enumerate(d.nodes):
-        if node.kind in enumerated and node.degree > DEFAULT_MAX_BOUNDARY:
-            raise TooLarge(
-                f"node {nid} ({node.kind.value}) has {node.degree} legs, over the "
-                f"bound of {DEFAULT_MAX_BOUNDARY}"
-            )
+    too_wide = next(
+        (
+            f"node {nid} ({node.kind.value}) has {node.degree} legs, over the "
+            f"bound of {DEFAULT_MAX_BOUNDARY}"
+            for nid, node in enumerate(d.nodes)
+            if node.kind in enumerated and node.degree > DEFAULT_MAX_BOUNDARY
+        ),
+        None,
+    )
 
     node_slots: list[list[int]] = [[-1] * node.degree for node in d.nodes]
     in_wire = [-1] * d.n_in
@@ -418,10 +461,6 @@ def _contract(
             else:
                 target = in_wire if ep.side == "in" else out_wire
                 target[ep.pos] = widx
-    # A pinned position leaves the boundary; its basis nodes hold its wire.
-    pinned = in_wire if side == "in" else out_wire
-    pins = [(n, [w] * n.degree) for w, v in zip(pinned, bits) for n in _basis_nodes(v)]
-    del pinned[: len(bits)]
 
     # Spider fusion: the legs of a white spider or white not carry one
     # bit, so their wires form one index, named by its lowest wire. A
@@ -459,23 +498,16 @@ def _contract(
                 odd |= union(legs[0], w, 0)
         elif kind in dark and degree == 2:
             odd |= union(*legs, kind is GeneratorKind.DARK_NOT)
-    if odd:
-        return ExactMatrix(n_out=len(out_wire), n_in=len(in_wire), entries={})
+    index_of = [find(w) for w in range(len(d.edges))]
 
-    # A fused white spider is a plain index; a fused white not adds its
-    # sign as a one-leg table, and a fused dark one a wireless sqrt(2).
-    # Legless nodes, and closed indices no factor holds (traced loops,
-    # legless white spiders worth 2), are wireless too. These are only
-    # counted, and enter the scalar as powers; legless nodes are listed
-    # by kind and counted by list.count, since an enum hashes in Python.
-    # Pins have at most one leg.
-    templates: dict[tuple, tuple[dict, int]] = {}
-    unit = _Factor(wires=(), table={(): (1, 0)})
-    factors: dict[int, _Factor] = {}
-    wireless: list[_Factor] = []
+    # A fused white spider is a plain index; a fused white not keeps one
+    # leg for its sign, and a fused dark one is a counted sqrt(2).
+    # Legless nodes are listed by kind and counted by list.count, since
+    # an enum hashes in Python.
+    factors: list[tuple[GeneratorKind, list[tuple[int, int]]]] = []
     legless: list[GeneratorKind] = []
     root2s = 0
-    for (kind, degree), wires in chain(zip(d.nodes, node_slots), pins):
+    for (kind, degree), wires in zip(d.nodes, node_slots):
         if not wires:
             legless.append(kind)
         elif kind is GeneratorKind.WHITE_SPIDER:
@@ -483,19 +515,78 @@ def _contract(
         elif kind in dark and degree == 2:
             root2s += 1
         else:
-            slots = [find(w) for w in wires]
-            if kind is GeneratorKind.WHITE_NOT:
-                slots = slots[:1]
-            factors[len(factors)] = _node_factor(kind, slots, templates)
-    holders: dict[int, set[int]] = {find(w)[0]: set() for w in range(len(d.edges))}
+            legs = [index_of[w] for w in wires]
+            factors.append((kind, legs[:1] if kind is GeneratorKind.WHITE_NOT else legs))
+    plan = _Plan(
+        too_wide=too_wide,
+        odd=odd,
+        in_wire=[index_of[w] for w in in_wire],
+        out_wire=[index_of[w] for w in out_wire],
+        indices=list(dict.fromkeys(i for i, _ in index_of)),
+        factors=factors,
+        legless=[(kind, legless.count(kind)) for kind in GeneratorKind if kind in legless],
+        root2s=root2s,
+    )
+    _last_plan = (weakref.ref(d), plan)
+    return plan
+
+
+def _contract(
+    d: Diagram, order: str, side: str = "in", bits: Sequence[int] = ()
+) -> ExactMatrix:
+    """``evaluate`` with the first len(bits) boundary positions of ``side``
+    pinned to ``bits``. A pinned bit fixes its index, so the tables that
+    read it keep only the matching entries, and the index is never
+    summed. Only unpinned wires count against DEFAULT_MAX_BOUNDARY."""
+    plan = _plan(d)
+    unpinned = d.n_in + d.n_out - len(bits)
+    if unpinned > DEFAULT_MAX_BOUNDARY:
+        raise TooLarge(
+            f"{unpinned} unpinned boundary wires exceed the bound of "
+            f"{DEFAULT_MAX_BOUNDARY}"
+        )
+    if plan.too_wide:
+        raise TooLarge(plan.too_wide)
+
+    # A pinned position leaves the boundary; the index it reads is fixed
+    # to its bit XOR its parity, and two pins disagreeing on one index
+    # make the diagram zero, like an odd cycle.
+    in_wire, out_wire = plan.in_wire, plan.out_wire
+    fixed: dict[int, int] = {}
+    clash = False
+    for (i, parity), bit in zip(in_wire if side == "in" else out_wire, bits):
+        clash |= fixed.setdefault(i, bit ^ parity) != bit ^ parity
+    if side == "in":
+        in_wire = in_wire[len(bits) :]
+    else:
+        out_wire = out_wire[len(bits) :]
+    if plan.odd or clash:
+        return ExactMatrix(n_out=len(out_wire), n_in=len(in_wire), entries={})
+
+    # A leg on a fixed index is a constant leg, and a node with only
+    # those is a wireless factor. Wireless factors, legless nodes and
+    # closed indices no factor holds (traced loops, worth 2; a fixed one
+    # is worth 1) enter the scalar only as counted powers.
+    unit = _Factor(wires=(), table={(): (1, 0)})
+    factors: dict[int, _Factor] = {}
+    wireless: list[_Factor] = []
+    for kind, legs in plan.factors:
+        if fixed:
+            legs = [(None, p ^ fixed[i]) if i in fixed else (i, p) for i, p in legs]
+        factor = _node_factor(kind, legs)
+        if factor.wires:
+            factors[len(factors)] = factor
+        else:
+            wireless.append(factor)
+    holders: dict[int, set[int]] = {i: set() for i in plan.indices if i not in fixed}
     for fid, factor in factors.items():
         for i in factor.wires:
             holders[i].add(fid)
-    in_wire, out_wire = [find(w) for w in in_wire], [find(w) for w in out_wire]
-    open_indices = {i for i, _ in in_wire + out_wire}
-    for i in [i for i, fids in holders.items() if not fids and i not in open_indices]:
+    shown = {i: fixed[i] for i, _ in in_wire + out_wire if i in fixed}
+    open_indices = {i for i, _ in in_wire + out_wire} - shown.keys()
+    loops = [i for i, fids in holders.items() if not fids and i not in open_indices]
+    for i in loops:
         del holders[i]
-        legless.append(GeneratorKind.WHITE_SPIDER)
 
     # Bucket elimination: pop the cheapest closed index, join its owners
     # from the first, and sum it out at the last join; a lone owner sums
@@ -534,18 +625,15 @@ def _contract(
     # sparse table, then expand the open indices no factor holds. Values
     # become ExactScalar only here, times the product (sa, sb, se) of the
     # wireless factors. Each boundary bit is its index's bit XOR its
-    # parity, so each (key, free bits) pair lands on its own entry. The
-    # counted sqrt(2)s and legless kinds enter as powers.
+    # parity, so each (key, free bits) pair lands on its own entry; an
+    # open wire on a fixed index reads the fixed bit.
     combined, *rest = [factors[fid] for fid in sorted(factors)] or [unit]
     for factor in rest:
         combined = _join(combined, factor, set())
     free = sorted(open_indices - set(combined.wires))
-    powers = [(_Factor(wires=(), table={(): (0, 1)}), root2s)]
-    powers += [
-        (_node_factor(kind, (), templates), legless.count(kind))
-        for kind in GeneratorKind
-        if kind in legless
-    ]
+    powers = [(_Factor(wires=(), table={(): (0, 1)}), plan.root2s)]
+    powers.append((_node_factor(GeneratorKind.WHITE_SPIDER, ()), len(loops)))
+    powers += [(_node_factor(kind, ()), count) for kind, count in plan.legless]
     powers += [(factor, 1) for factor in wireless]
     sa, sb, se = 1, 0, 0
     for factor, count in powers:
@@ -556,7 +644,7 @@ def _contract(
     entries: dict[tuple[str, str], ExactScalar] = {}
     for key, (a, b) in combined.table.items() if sa or sb else ():
         value = ExactScalar(a * sa + 2 * b * sb, a * sb + b * sa, combined.e + se)
-        base = dict(zip(combined.wires, key))
+        base = shown | dict(zip(combined.wires, key))
         for fill in product((0, 1), repeat=len(free)):
             assignment = base | dict(zip(free, fill))
             row = "".join(str(assignment[i] ^ p) for i, p in out_wire)
@@ -571,9 +659,10 @@ def apply_basis(
     """Pin |v> on the inputs (side="in") or <v| on the outputs
     (side="out") and evaluate what is left.
 
-    The pins enter the engine as one-leg tables on the pinned indices,
-    so no diagram is built, and a wide boundary collapses to a narrow
-    one instead of being enumerated.
+    Each pinned bit fixes the index its wire reads, and the tables on
+    that index are sliced to the matching entries, so no diagram is
+    built, and a wide boundary collapses to a narrow one instead of
+    being enumerated.
     """
     state = v if isinstance(v, BasisState) else BasisState(bits=tuple(v))
     if side == "in":

@@ -5,6 +5,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -226,6 +228,20 @@ class TestVerify:
             f"{tmp_path / 'inst.json'}: FAIL state-eq found None, oracle says '0'"
         ]
         assert out[-1] == "verified 1 instance(s), 1 failure(s)"
+
+    def test_only_verify_imports_the_corpus(self) -> None:
+        # Every other command starts without compiling corpus and cnf.
+        src = str(Path(sys.modules["zhcalc"].__file__).parents[1])
+        probe = "import sys, zhcalc.cli; print(sorted(sys.modules))"
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert "'zhcalc.cli'" in loaded
+        assert "'zhcalc.corpus'" not in loaded and "'zhcalc.cnf'" not in loaded
 
     def test_requires_some_input(self, capsys) -> None:
         assert main(["verify"]) == 2

@@ -643,3 +643,34 @@ class TestBuilderErrors:
         assert _message(b.splice, generator(X, 1, 1), [second]) == (
             "leg NodePort(node=0, port=1) is already connected"
         )
+
+    def test_connect_a_leg_never_allocated(self) -> None:
+        b = DiagramBuilder()
+        z = b.node(Z)
+        leg = b.leg(z)
+        assert _message(b.connect, np(5, 0), np(6, 0)) == (
+            "leg NodePort(node=5, port=0) was never allocated by this builder"
+        )
+        # Node 0 exists but has allocated only port 0.
+        assert _message(b.connect, leg, np(0, 1)) == (
+            "leg NodePort(node=0, port=1) was never allocated by this builder"
+        )
+        assert _message(b.connect, np(-1, 0), leg) == (
+            "leg NodePort(node=-1, port=0) was never allocated by this builder"
+        )
+
+    def test_splice_into_a_leg_never_allocated(self) -> None:
+        b = DiagramBuilder()
+        b.leg(b.node(Z))
+        assert _message(b.splice, generator(X, 1, 1), [np(9, 3)]) == (
+            "leg NodePort(node=9, port=3) was never allocated by this builder"
+        )
+        # The refusal comes before the gadget is copied in.
+        assert b.finish(outputs=[np(0, 0)]).nodes == (Node(kind=Z, degree=1),)
+
+    def test_finish_with_a_leg_never_allocated(self) -> None:
+        b = DiagramBuilder()
+        stub = b.leg(b.node(Z))
+        assert _message(b.finish, inputs=[stub], outputs=[np(0, 1)]) == (
+            "leg NodePort(node=0, port=1) was never allocated by this builder"
+        )

@@ -8,6 +8,7 @@ all edge assignments. The engine must match both exactly.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import sys
@@ -16,7 +17,7 @@ from itertools import product
 
 import pytest
 
-from zhcalc.corpus import random_cnf, random_diagram
+from zhcalc.corpus import random_cnf, random_diagram, random_sat_compare
 from zhcalc.diagram import (
     ArityMismatch,
     BoundaryPort,
@@ -48,7 +49,7 @@ from zhcalc.evaluate import (
     scalar_matrix,
 )
 from zhcalc.formula import SatCompareInstance, count_sat, parse_formula
-from zhcalc.reductions import DyadicK, build_contains_entry
+from zhcalc.reductions import DyadicK, build_contains_entry, verify_instance
 from zhcalc.scalar import ExactScalar, HALF, ONE, SQRT2, TWO, ZERO
 
 Z = GeneratorKind.WHITE_SPIDER
@@ -519,9 +520,9 @@ class TestParityFusion:
         kinds = []
         node_factor = evaluate_module._node_factor
 
-        def recording(kind, legs, templates):
+        def recording(kind, legs):
             kinds.append((kind, len(legs)))
-            return node_factor(kind, legs, templates)
+            return node_factor(kind, legs)
 
         monkeypatch.setattr(evaluate_module, "_node_factor", recording)
         assert evaluate(d).entry("1", "") == ExactScalar(count, 0, 0)
@@ -565,6 +566,75 @@ class TestScalarAccumulator:
                 # it sums out.
                 assert (f1.table, f1.e) == ({(): (1, 0)}, 0)
                 assert len(summed) == 1 and summed <= set(f2.wires)
+
+
+class TestCompiledPlans:
+    """Each diagram is compiled once into a plan that later calls on the
+    same object reuse; pins slice tables instead of adding nodes."""
+
+    def test_verify_instance_validates_each_diagram_once(self, monkeypatch) -> None:
+        seen = []
+        validate = Diagram.validate
+
+        def recording(self):
+            seen.append(self)
+            return validate(self)
+
+        monkeypatch.setattr(Diagram, "validate", recording)
+        assert verify_instance(random_sat_compare(random.Random(15))) == []
+        # The state-eq pair, then three contains-entry diagrams, each
+        # pinned by its builder's self-check and then evaluated open.
+        assert len(seen) == 5
+        assert len({id(d) for d in seen}) == 5
+
+    def test_cached_plan_keeps_no_diagram_alive(self) -> None:
+        d = generator(H, 1, 2)
+        evaluate(d)
+        ref = evaluate_module._last_plan[0]
+        assert ref() is d
+        del d
+        gc.collect()
+        assert ref() is None
+
+    def test_reused_plan_matches_a_fresh_one(self) -> None:
+        built = build_contains_entry(two_variable_instance(), DyadicK(1, 0))
+        pinned = [apply_basis(built, bits, "in") for bits in product((0, 1), repeat=2)]
+        open_matrix = evaluate(built)
+        copy = Diagram(nodes=built.nodes, edges=built.edges, n_in=2, n_out=0)
+        # An equal diagram is another object, so it gets its own plan.
+        assert evaluate_module._last_plan[0]() is built
+        assert evaluate(copy) == open_matrix
+        assert evaluate_module._last_plan[0]() is copy
+        for bits, column in zip(product((0, 1), repeat=2), pinned):
+            assert column.entry("", "") == open_matrix.entry("", "".join(map(str, bits)))
+
+    def test_wide_generator_tables_are_not_kept(self) -> None:
+        # Every call looks up the legless white spider's table; warm it.
+        evaluate(generator(H, 0, 1))
+        before = dict(evaluate_module._TEMPLATES)
+        wide = generator(H, 4, 5)
+        assert evaluate(wide) == interpret_generator(H, 4, 5)
+        assert apply_basis(wide, (1, 1, 1, 1), "in").entries == {
+            (row, ""): -ONE if row == "11111" else ONE
+            for row in map("".join, product("01", repeat=5))
+        }
+        assert evaluate_module._TEMPLATES == before
+
+    def test_pins_add_no_factor(self, monkeypatch) -> None:
+        built = build_contains_entry(two_variable_instance(), DyadicK(3, 2))
+        calls = []
+        node_factor = evaluate_module._node_factor
+
+        def recording(kind, legs):
+            calls.append(len(legs))
+            return node_factor(kind, legs)
+
+        monkeypatch.setattr(evaluate_module, "_node_factor", recording)
+        evaluate(built)
+        opened = len(calls)
+        calls.clear()
+        apply_basis(built, (1, 0), "in")
+        assert len(calls) == opened
 
 
 class TestApplyBasis:

@@ -10,8 +10,8 @@ from itertools import product
 import pytest
 
 import zhcalc.reductions as reductions
-from zhcalc.corpus import random_cnf, random_formula, random_sat_compare
-from zhcalc.diagram import ArityMismatch, GeneratorKind, identity
+from zhcalc.corpus import random_cnf, random_diagram, random_formula, random_sat_compare
+from zhcalc.diagram import ArityMismatch, Diagram, GeneratorKind, Node, generator, identity
 from zhcalc.encode import counting_state, encode_formula
 from zhcalc.evaluate import apply_basis, evaluate, identity_matrix, matrix_compose
 from zhcalc.formula import (
@@ -348,4 +348,61 @@ class TestBuilderBytes:
             ]
             for d in built:
                 digest.update(json.dumps(d.to_json(), sort_keys=True).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestEvaluatedDigest:
+    # SHA-256 over every result below, taken at fac9c77: each matrix as
+    # sorted-key JSON, each exception as its type name and message. Each
+    # object is evaluated open, pinned on both sides and open again, so a
+    # contraction that reuses work across calls must not move it. Only
+    # the small random diagrams also go through the sequential order,
+    # which runs out of memory on counting states.
+    DIGEST = "3906bc8f5744b4ec4f79ad0c47d1f24101e87feffaa9c8e37fdbd8fd4b455cd1"
+
+    @staticmethod
+    def _record(digest, call) -> None:
+        try:
+            got = json.dumps(call().to_json(), sort_keys=True)
+        except ValueError as exc:  # every refusal here, ArityMismatch included
+            got = f"{type(exc).__name__}: {exc}"
+        digest.update(got.encode() + b"\n")
+
+    def _record_all(self, digest, d, rng) -> None:
+        self._record(digest, lambda: evaluate(d))
+        for side, width in (("in", d.n_in), ("out", d.n_out)):
+            bits = [rng.randrange(2) for _ in range(width)]
+            self._record(digest, lambda: apply_basis(d, bits, side))
+        self._record(digest, lambda: evaluate(d))
+
+    def test_evaluated_results_are_unchanged(self) -> None:
+        rng = random.Random(1515)
+        digest = hashlib.sha256()
+        for _ in range(60):
+            d = random_diagram(rng)
+            self._record(digest, lambda: evaluate(d, order="sequential"))
+            self._record_all(digest, d, rng)
+        for _ in range(4):
+            inst = random_sat_compare(rng)
+            pair = build_state_eq(inst)
+            cnf = random_cnf(rng, 5, 10)
+            built = [
+                pair.d1,
+                pair.d2,
+                counting_state(cnf.to_formula(), cnf.variables),
+                *(build_contains_entry(inst, k) for k in (DyadicK(0, 0), DyadicK(3, 2))),
+            ]
+            for d in built:
+                self._record_all(digest, d, rng)
+        edge_cases = [
+            generator(GeneratorKind.H_BOX, 4, 6),
+            generator(GeneratorKind.DARK_NOT, 5, 4),
+            identity(12),
+            generator(GeneratorKind.H_BOX, 0, 23),
+            Diagram(nodes=(Node(GeneratorKind.WHITE_SPIDER, 1),), edges=(), n_in=0, n_out=0),
+        ]
+        for d in edge_cases:
+            self._record_all(digest, d, rng)
+            self._record(digest, lambda: apply_basis(d, [0], "in"))
+            self._record(digest, lambda: apply_basis(d, [], "up"))
         assert digest.hexdigest() == self.DIGEST
