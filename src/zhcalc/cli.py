@@ -25,6 +25,7 @@ from .evaluate import evaluate
 from .formula import (
     FormulaError,
     SatCompareInstance,
+    _bounded,
     count_sat,
     formula_vars,
     parse_formula,
@@ -135,7 +136,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     phi = parse_formula(args.formula)
-    names = _parse_vars(args.vars)
+    names = _bounded(_parse_vars(args.vars))  # refuse before contracting
     matrix = evaluate(counting_state(phi, names))
     c1 = _int_scalar(matrix.entry("1", ""))
     c0 = _int_scalar(matrix.entry("0", ""))

@@ -25,32 +25,20 @@ from .formula import (
 
 
 def random_formula(
-    rng: random.Random,
-    names: Sequence[str],
-    *,
-    max_depth: int = 5,
-    allow_arrows: bool = True,
-    const_weight: float = 0.05,
+    rng: random.Random, names: Sequence[str], *, max_depth: int = 5
 ) -> Formula:
     """Draw a random formula over ``names`` with nesting depth <= max_depth."""
     if not names:
         raise ValueError("need at least one variable name")
     if max_depth <= 0 or rng.random() < 0.3:
-        if rng.random() < const_weight:
+        if rng.random() < 0.05:
             return Const(rng.random() < 0.5)
         return Var(rng.choice(list(names)))
-    kinds = ["not", "and", "or"]
-    if allow_arrows:
-        kinds += ["implies", "iff"]
-    kind = rng.choice(kinds)
+    kind = rng.choice(["not", "and", "or", "implies", "iff"])
     if kind == "not":
-        return Not(random_formula(rng, names, max_depth=max_depth - 1,
-                                  allow_arrows=allow_arrows,
-                                  const_weight=const_weight))
-    left = random_formula(rng, names, max_depth=max_depth - 1,
-                          allow_arrows=allow_arrows, const_weight=const_weight)
-    right = random_formula(rng, names, max_depth=max_depth - 1,
-                           allow_arrows=allow_arrows, const_weight=const_weight)
+        return Not(random_formula(rng, names, max_depth=max_depth - 1))
+    left = random_formula(rng, names, max_depth=max_depth - 1)
+    right = random_formula(rng, names, max_depth=max_depth - 1)
     if kind == "and":
         return And(left, right)
     if kind == "or":

@@ -8,12 +8,13 @@ two-leg dark spider or dark not too, as sqrt(2) times a plain or NOT
 wire: each wire reads its index's bit XOR a parity, and an odd cycle of
 NOT wires makes the diagram zero. It then runs bucket elimination
 over the indices: a factor stores only its nonzero entries, and each
-closed index is summed out once every factor holding it is joined, either
-greedily (fewest indices spanned first) or in edge order. The two orders
-must agree exactly; tests rely on that. ``apply_basis`` pins its basis
-bits inside the same engine by slicing: a pinned bit fixes its index,
-so every table on it keeps only the entries with that bit, the index is
-never summed, and no plugged diagram is built.
+closed index is summed out once every factor holding it is joined, the
+one whose factors span the fewest indices first. The two orders break a
+tie by the lowest index or by the highest, so they join by different
+routes and must agree exactly; tests rely on that. ``apply_basis`` pins
+its basis bits inside the same engine by slicing: a pinned bit fixes
+its index, so every table on it keeps only the entries with that bit,
+the index is never summed, and no plugged diagram is built.
 
 Each call splits into a compile and a run. The compile (``_plan``)
 validates the diagram, fuses its wires and lists each factor node's
@@ -392,10 +393,11 @@ def _join(f1: _Factor, f2: _Factor, summed: set[int]) -> _Factor:
 def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
     """The exact matrix denoted by ``d``.
 
-    ``order`` picks the elimination schedule over fused indices:
-    "greedy" sums out the index whose factors span the fewest indices,
-    while "sequential" takes indices in edge order (each is named by its
-    lowest wire). Both give the same matrix.
+    ``order`` picks the elimination schedule over fused indices. Both
+    orders sum out first the index whose factors span the fewest
+    indices; "greedy" breaks a tie by the lowest index and "sequential"
+    by the highest (each index is named by its lowest wire). Both give
+    the same matrix.
     """
     if order not in ("greedy", "sequential"):
         raise ValueError(f"unknown contraction order {order!r}")
@@ -588,23 +590,26 @@ def _contract(
     for i in loops:
         del holders[i]
 
-    # Bucket elimination: pop the cheapest closed index, join its owners
-    # from the first, and sum it out at the last join; a lone owner sums
-    # it out against the unit factor (no wires, table {(): 1}). A result
-    # with no wires left is kept apart too.
+    # Bucket elimination: pop the cheapest closed index (fewest indices
+    # spanned by its factors; "greedy" breaks a tie by the lowest index,
+    # "sequential" by the highest), join its owners from the first, and
+    # sum it out at the last join; a lone owner sums it out against the
+    # unit factor (no wires, table {(): 1}). A result with no wires left
+    # is kept apart too.
+    tie = 1 if order == "greedy" else -1
+
     def cost(i: int) -> int:
-        if order == "sequential":
-            return 0
         return len({j for fid in holders[i] for j in factors[fid].wires})
 
-    heap = [(cost(i), i) for i in holders if i not in open_indices]
+    heap = [(cost(i), tie * i) for i in holders if i not in open_indices]
     heapq.heapify(heap)
     next_fid = len(factors)
     while heap:
-        score, i = heapq.heappop(heap)
+        score, key = heapq.heappop(heap)
+        i = tie * key
         current = cost(i)
         if current != score:
-            heapq.heappush(heap, (current, i))
+            heapq.heappush(heap, (current, key))
             continue
         owner_ids = sorted(holders.pop(i))
         joined, *rest = [factors.pop(fid) for fid in owner_ids]

@@ -245,7 +245,7 @@ def _check_contains_entry(
 ) -> None:
     """Evaluate one deterministic pseudo-random basis input against the
     formula-level oracle; raise if the construction is off."""
-    rng = random.Random(f"contains-entry {inst.n} {inst.m} {k}")
+    rng = random.Random(f"contains-entry {inst.n} {inst.m} {k.c} {k.d}")
     v = [rng.randrange(2) for _ in range(inst.n)]
     bound = {name: bool(bit) for name, bit in zip(inst.x_vars, v)}
     diff = count_sat(substitute(inst.rho, bound), inst.z_vars) - count_sat(

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -98,6 +99,22 @@ class TestCount:
         assert code == 0
         assert out[0] == "state: 2|0>"
         assert out[1] == "count: 0"
+
+    def test_refuses_too_many_variables_before_contracting(self, capped_child) -> None:
+        # A seeded (24, 60) 3-CNF: contracting its counting state first
+        # runs out of a 1 GiB cap after seconds, for a count the oracle
+        # then refuses anyway.
+        rng = random.Random(1)
+        clauses = []
+        for _ in range(60):
+            picked = rng.sample(range(1, 25), 3)
+            clauses.append(" | ".join(f"x{v}" if rng.random() < 0.5 else f"~x{v}" for v in picked))
+        text = " & ".join(f"({clause})" for clause in clauses)
+        names = ",".join(f"x{i}" for i in range(1, 25))
+        code = "import sys\nfrom zhcalc.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        done = capped_child(code, "count", text, "--vars", names, timeout=5)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.splitlines() == ["error: 24 variables exceeds bound 20"]
 
 
 class TestEncodeAndEval:

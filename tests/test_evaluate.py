@@ -442,6 +442,101 @@ class TestFusedElimination:
         assert evaluate(d) == ExactMatrix(n_out=1, n_in=0, entries=want)
 
 
+# Seeded ladder-style 3-CNF counting states, drawn as the count-ladder
+# benchmark draws them: each clause picks 3 distinct variables of n, then
+# a sign for each. These run in a capped child, so an order that cannot
+# finish them fails the test instead of filling the machine's memory.
+LADDER_STATES = """
+import random
+from zhcalc.cnf import CnfFormula, Literal
+from zhcalc.encode import counting_state
+
+RUNGS = {(5, 10): (7, 1, 2), (6, 12): (7, 1, 2), (10, 20): (1, 2, 3), (14, 30): (1, 2, 3)}
+
+def ladder_states():
+    for (n, m), seeds in RUNGS.items():
+        for seed in seeds:
+            rng = random.Random(seed)
+            clauses = tuple(
+                frozenset(Literal(i, rng.random() < 0.5) for i in rng.sample(range(n), 3))
+                for _ in range(m)
+            )
+            cnf = CnfFormula(tuple(f"x{i}" for i in range(1, n + 1)), clauses)
+            yield cnf, counting_state(cnf.to_formula(), cnf.variables)
+"""
+
+
+class TestTwoOrders:
+    """Both orders sum first the index whose factors span the fewest
+    indices and differ only in how they break a tie, so both finish every
+    diagram greedy finishes, and by a different route."""
+
+    def test_agree_on_counting_states_and_reductions(self, capped_child) -> None:
+        code = LADDER_STATES + """
+from zhcalc import evaluate
+from zhcalc.corpus import random_sat_compare
+from zhcalc.formula import count_sat
+from zhcalc.reductions import DyadicK, build_circuit_extraction, build_contains_entry, build_state_eq
+from zhcalc.scalar import ExactScalar
+
+def both(d):
+    greedy = evaluate(d)
+    assert evaluate(d, order="sequential") == greedy
+    return greedy
+
+for cnf, d in ladder_states():
+    count = count_sat(cnf.to_formula(), cnf.variables)
+    got = both(d)
+    assert got.entry("1", "") == ExactScalar(count, 0, 0), (cnf, count)
+    assert got.entry("0", "") == ExactScalar(2 ** len(cnf.variables) - count, 0, 0)
+
+rng = random.Random(424242)
+for _ in range(25):
+    inst = random_sat_compare(rng)
+    pair = build_state_eq(inst)
+    both(pair.d1)
+    both(pair.d2)
+    for k in (DyadicK(0, 0), DyadicK(1, 0), DyadicK(3, 2)):
+        both(build_contains_entry(inst, k))
+    names = inst.x_vars + inst.z_vars
+    a1 = count_sat(inst.rho, names)
+    got = both(build_circuit_extraction(inst.rho, names))
+    assert got.entry("0", "1") == got.entry("1", "0") == ExactScalar(a1, 0, 0)
+    assert got.entry("0", "0") == -got.entry("1", "1") == ExactScalar(2 ** len(names) - a1, 0, 0)
+"""
+        done = capped_child(code, timeout=30)
+        assert done.returncode == 0, done.stderr[-3000:]
+
+    def test_take_different_routes(self, capped_child) -> None:
+        # Each route is the sequence of joins, as operand wires and summed
+        # indices; "sequential" must not become an alias of "greedy".
+        code = LADDER_STATES + """
+import sys
+from zhcalc import evaluate
+
+engine = sys.modules["zhcalc.evaluate"]
+join = engine._join
+
+def route(d, order):
+    calls = []
+
+    def recording(f1, f2, summed):
+        calls.append((f1.wires, f2.wires, sorted(summed)))
+        return join(f1, f2, summed)
+
+    engine._join = recording
+    evaluate(d, order=order)
+    engine._join = join
+    return calls
+
+small = [d for cnf, d in ladder_states() if len(cnf.variables) <= 10]
+print(sum(route(d, "greedy") != route(d, "sequential") for d in small))
+"""
+        done = capped_child(code, timeout=30)
+        assert done.returncode == 0, done.stderr[-3000:]
+        assert int(done.stdout) > 0
+
+
 def two_leg_dark_nodes(d: Diagram) -> int:
     return sum(n.kind in (X, XNOT) and n.degree == 2 for n in d.nodes)
 

@@ -13,7 +13,7 @@ import zhcalc.reductions as reductions
 from zhcalc.corpus import random_cnf, random_diagram, random_formula, random_sat_compare
 from zhcalc.diagram import ArityMismatch, Diagram, GeneratorKind, Node, generator, identity
 from zhcalc.encode import counting_state, encode_formula
-from zhcalc.evaluate import apply_basis, evaluate, identity_matrix, matrix_compose
+from zhcalc.evaluate import BasisState, apply_basis, evaluate, identity_matrix, matrix_compose
 from zhcalc.formula import (
     Const,
     SatCompareInstance,
@@ -34,6 +34,7 @@ from zhcalc.reductions import (
     verify_instance,
 )
 from zhcalc.scalar import ExactScalar, ONE, ZERO
+from zhcalc.solve import solve_contains_entry
 
 
 def worked_instance() -> SatCompareInstance:
@@ -249,6 +250,15 @@ class TestBuildContainsEntry:
         with pytest.raises(ContractViolation):
             build_contains_entry(worked_instance(), DyadicK(3, 2))
 
+    @pytest.mark.parametrize("k", [DyadicK(1, 20000), DyadicK(-3, 50000)])
+    def test_denominators_past_the_decimal_digit_limit(self, k) -> None:
+        # 2**d has over 4,300 decimal digits here, so the self-check's
+        # seed must not spell k out in decimal.
+        built = build_contains_entry(worked_instance(), k)
+        assert scalar_at(built, [0]) == k.value
+        assert scalar_at(built, [1]) == -k.value
+        assert solve_contains_entry(built, k.value) == (BasisState(()), BasisState((0,)))
+
     def test_emits_atomic_generators_only(self) -> None:
         built = build_contains_entry(worked_instance(), DyadicK(-3, 2))
         assert {node.kind for node in built.nodes} <= set(GeneratorKind)
@@ -356,8 +366,9 @@ class TestEvaluatedDigest:
     # sorted-key JSON, each exception as its type name and message. Each
     # object is evaluated open, pinned on both sides and open again, so a
     # contraction that reuses work across calls must not move it. Only
-    # the small random diagrams also go through the sequential order,
-    # which runs out of memory on counting states.
+    # the small random diagrams also go through the sequential order, as
+    # when the digest was taken; tests/test_evaluate.py's TestTwoOrders
+    # runs both orders on counting states and reduction diagrams.
     DIGEST = "3906bc8f5744b4ec4f79ad0c47d1f24101e87feffaa9c8e37fdbd8fd4b455cd1"
 
     @staticmethod
