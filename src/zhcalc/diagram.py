@@ -318,23 +318,19 @@ def generator(kind: GeneratorKind, m: int, n: int) -> Diagram:
     return Diagram(nodes=(node,), edges=tuple(edges), n_in=m, n_out=n)
 
 
-def _basis_nodes(bit: bool) -> tuple[Node, Node]:
-    """The nodes of |bit> and <bit|: a star times a one-leg dark spider
-    (bit 0) or dark not (bit 1), which is the Kronecker delta on bit."""
-    kind = GeneratorKind.DARK_NOT if bit else GeneratorKind.DARK_SPIDER
-    return Node(kind=GeneratorKind.STAR, degree=0), Node(kind=kind, degree=1)
-
-
 def basis_state(bit: bool) -> Diagram:
-    """The normalized one-wire state |0> or |1>."""
+    """The normalized one-wire state |0> or |1>: a star times a one-leg
+    dark spider (bit 0) or dark not (bit 1), the Kronecker delta on bit."""
+    kind = GeneratorKind.DARK_NOT if bit else GeneratorKind.DARK_SPIDER
+    nodes = (Node(kind=GeneratorKind.STAR, degree=0), Node(kind=kind, degree=1))
     edges = ((NodePort(node=1, port=0), BoundaryPort(side="out", pos=0)),)
-    return Diagram(nodes=_basis_nodes(bit), edges=edges, n_in=0, n_out=1)
+    return Diagram(nodes=nodes, edges=edges, n_in=0, n_out=1)
 
 
 def basis_effect(bit: bool) -> Diagram:
-    """The normalized one-wire effect <0| or <1|."""
+    """The normalized one-wire effect <0| or <1|: the nodes of |bit>."""
     edges = ((BoundaryPort(side="in", pos=0), NodePort(node=1, port=0)),)
-    return Diagram(nodes=_basis_nodes(bit), edges=edges, n_in=1, n_out=0)
+    return Diagram(nodes=basis_state(bit).nodes, edges=edges, n_in=1, n_out=0)
 
 
 # -- composition -----------------------------------------------------------

@@ -30,9 +30,15 @@ one scalar instead. Legless nodes and two-leg dark wires never become
 factors: they are counted per kind, and each kind's value is raised to
 its count by repeated squaring. Values are canonicalized into
 ``ExactScalar`` only on exit, when the ``ExactMatrix`` is assembled.
-A generator's table depends only on its kind and its pattern of
-(slot, parity) legs; tables of at most 8 legs are kept for the process,
-and wider ones are built per call.
+The compile also groups factor nodes into blocks: two nodes that alone
+read a closed index, each of at most 8 legs and together reading at most
+8 other indices, form a block, and any other node is a block of one. A
+closed index that one block alone reads is summed inside its table, so
+it never reaches the elimination loop. A block's table depends only on
+its pattern (kinds, (slot, parity) legs, summed slots), so the process
+keeps one table per pattern of nodes of at most 8 legs, up to 2048
+tables, and pins slice it; a wider node's table is built per call, only
+on its pinned bits.
 """
 
 from __future__ import annotations
@@ -270,73 +276,82 @@ class _Factor:
     e: int = 0
 
 
-# Generators with at most this many legs (so at most 256 support
-# entries) keep their tables for the process. A wider generator's table,
-# up to 2**22 entries, is built per call and dropped with its factor.
+# Blocks of nodes with at most this many legs keep their tables for the
+# process, up to _MAX_TEMPLATES tables of at most 256 entries (a pair
+# reads at most this many indices besides the one it shares). A wider
+# generator's table, up to 2**22 entries, is built per call.
 _CACHED_LEGS = 8
+_MAX_TEMPLATES = 2048
 _TEMPLATES: dict[tuple, tuple[dict, int]] = {}
+_UNIT = _Factor(wires=(), table={(): (1, 0)})
 
 
 def _node_factor(
-    kind: GeneratorKind, legs: Sequence[tuple[int | None, int]]
+    key: tuple, wires: tuple[int, ...], fixed: dict[int, int] | None = None
 ) -> _Factor:
-    """A generator's factor over the distinct free indices its legs read.
+    """A block's factor over the indices ``wires``.
 
-    Leg i reads the bit of index legs[i][0] flipped by the parity
-    legs[i][1]; a leg on a fixed index has index None and reads the
-    constant bit legs[i][1]. The table depends only on the kind and the
-    pattern of (slot, parity) pairs (slot i holds the i-th distinct free
-    index, and a constant leg keeps slot None; one pair per leg, so the
-    pattern also fixes the degree). Patterns of at most _CACHED_LEGS legs
-    keep their tables in ``_TEMPLATES``.
+    A block is one factor node, or two that alone read some closed index.
+    Its table depends only on its pattern ``key`` = (summed slots,
+    (kind, legs), ...), where each leg is a (slot, parity) pair reading
+    the bit of the block's slot-th distinct index XOR the parity; the
+    summed slots are summed inside the table, and ``wires`` are the other
+    slots' indices in slot order. Tables of blocks whose nodes have at
+    most _CACHED_LEGS legs are kept in ``_TEMPLATES``; a wider node's is
+    built per call, only on the bits that ``fixed`` pins its indices to.
     """
-    slot_of: dict[int, int] = {}
-    pattern = []
-    for i, parity in legs:
-        pattern.append((None if i is None else slot_of.setdefault(i, len(slot_of)), parity))
-    key = (kind, tuple(pattern))
     template = _TEMPLATES.get(key)
     if template is None:
-        template = _template(kind, key[1], len(slot_of))
-        if len(pattern) <= _CACHED_LEGS:
+        summed, *members = key
+        kept = all(len(legs) <= _CACHED_LEGS for _, legs in members)
+        pins = {}
+        if fixed and not kept:
+            free = [s for s in range(len(summed) + len(wires)) if s not in summed]
+            pins = {slot: fixed[i] for slot, i in zip(free, wires) if i in fixed}
+        joined, *rest = [_template(kind, legs, pins) for kind, legs in members]
+        if summed and not rest:
+            joined, rest = _UNIT, [joined]
+        for factor in rest:
+            joined = _join(joined, factor, set(summed))
+        template = joined.table, joined.e
+        if kept and len(_TEMPLATES) < _MAX_TEMPLATES:
             _TEMPLATES[key] = template
     table, e = template
-    return _Factor(tuple(slot_of), table, e)
+    return _Factor(wires, table, e)
 
 
 def _template(
-    kind: GeneratorKind, pattern: tuple[tuple[int | None, int], ...], width: int
-) -> tuple[dict[tuple[int, ...], tuple[int, int]], int]:
-    """Project a generator's support onto ``width`` distinct indices.
+    kind: GeneratorKind, pattern: tuple[tuple[int, int], ...], pins: dict[int, int]
+) -> _Factor:
+    """Project a generator's support onto the distinct slots its legs read.
 
-    Each leg's bit is its slot's index bit XOR its parity. When two legs
-    share a slot (a self-loop, or legs fused into one index), support
-    entries that disagree on that index vanish, and the survivors are
-    keyed by one bit per distinct index. A constant leg (None, c) keeps
-    only the entries whose bit on that leg is c, so a pinned index
-    slices the table instead of joining it. Values are put over the
-    largest exponent in the support.
+    Each leg's bit is its slot's bit XOR its parity. When two legs share a
+    slot (a self-loop, or legs fused into one index), support entries
+    that disagree on that slot vanish, and the survivors are keyed by one
+    bit per distinct slot, in the order the legs first read them; so do
+    those that disagree with the bit ``pins`` holds for a slot. Values are
+    put over the largest exponent in the support, which is streamed twice
+    rather than held.
     """
-    support = list(_generator_support(kind, len(pattern)))
-    e = max((value.e for _, value in support), default=0)
+    slots = tuple(dict.fromkeys(slot for slot, _ in pattern))
+    local = [(slots.index(slot), parity) for slot, parity in pattern]
+    start = [pins.get(slot) for slot in slots]
+    e = max((value.e for _, value in _generator_support(kind, len(pattern))), default=0)
     table: dict[tuple[int, ...], tuple[int, int]] = {}
-    for bits, value in support:
-        key: list[int | None] = [None] * width
-        for (slot, parity), bit in zip(pattern, bits):
+    for bits, value in _generator_support(kind, len(pattern)):
+        key = start.copy()
+        for (k, parity), bit in zip(local, bits):
             bit ^= parity
-            if slot is None:
-                if bit:
-                    break
-            elif key[slot] is None:
-                key[slot] = bit
-            elif key[slot] != bit:
+            if key[k] is None:
+                key[k] = bit
+            elif key[k] != bit:
                 break
         else:
-            slots = tuple(key)
-            a, b = table.get(slots, (0, 0))
+            at = tuple(key)
+            a, b = table.get(at, (0, 0))
             shift = e - value.e
-            table[slots] = (a + (value.a << shift), b + (value.b << shift))
-    return {k: v for k, v in table.items() if v != (0, 0)}, e
+            table[at] = (a + (value.a << shift), b + (value.b << shift))
+    return _Factor(slots, {k: v for k, v in table.items() if v != (0, 0)}, e)
 
 
 def _power(a: int, b: int, n: int) -> tuple[int, int]:
@@ -362,9 +377,12 @@ def _join(f1: _Factor, f2: _Factor, summed: set[int]) -> _Factor:
     """Combine two factors, aligning on shared wires and summing out
     ``summed``, which no third factor may hold. The engine's one kernel:
     joined with the unit factor (no wires, table {(): 1}) a lone factor
-    sums out its self-loops. Products multiply (a, b) pairs and add the
-    exponents; sums share the result's exponent, so they are int adds."""
-    shared = [w for w in f1.wires if w in set(f2.wires)]
+    sums out its self-loops, and joined with a one-entry table over some
+    fixed indices, summing them, it is sliced to their bits. Products
+    multiply (a, b) pairs and add the exponents; sums share the result's
+    exponent, so they are int adds."""
+    in_f2 = set(f2.wires)
+    shared = [w for w in f1.wires if w in in_f2]
     keep1 = [i for i, w in enumerate(f1.wires) if w not in summed]
     keep2 = [
         i for i, w in enumerate(f2.wires) if w not in summed and w not in shared
@@ -407,19 +425,21 @@ def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
 @dataclass(frozen=True)
 class _Plan:
     """What every contraction of one valid diagram shares, whatever it
-    pins. Each boundary position and each factor node's leg is an
-    (index, parity) pair, reading the bit of its fused index XOR the
-    parity. ``too_wide`` is the refusal a node with too many enumerated
-    legs earns, ``odd`` marks an odd cycle of NOT wires, ``legless``
-    counts legless nodes per kind, and ``root2s`` the two-leg dark
-    generators fused into wires."""
+    pins. Each boundary position is an (index, parity) pair, reading the
+    bit of its fused index XOR the parity, and each block of factor
+    nodes is its table's key and the indices it keeps (see
+    ``_node_factor``); ``indices`` leaves out those summed in a block.
+    ``too_wide`` is the refusal a node with too many enumerated legs
+    earns, ``odd`` marks an odd cycle of NOT wires, ``legless`` counts
+    legless nodes per kind, and ``root2s`` the two-leg dark generators
+    fused into wires."""
 
     too_wide: str | None
     odd: int
     in_wire: list[tuple[int, int]]
     out_wire: list[tuple[int, int]]
     indices: list[int]
-    factors: list[tuple[GeneratorKind, list[tuple[int, int]]]]
+    blocks: list[tuple[tuple, tuple[int, ...]]]
     legless: list[tuple[GeneratorKind, int]]
     root2s: int
 
@@ -519,13 +539,54 @@ def _plan(d: Diagram) -> _Plan:
         else:
             legs = [index_of[w] for w in wires]
             factors.append((kind, legs[:1] if kind is GeneratorKind.WHITE_NOT else legs))
+    in_wire = [index_of[w] for w in in_wire]
+    out_wire = [index_of[w] for w in out_wire]
+
+    # Blocks: two nodes that alone read a closed index, each of at most
+    # _CACHED_LEGS legs and together reading at most _CACHED_LEGS other
+    # indices, are paired; a node joins at most one pair, and any other is
+    # a block of one. A closed index that one block alone reads is summed
+    # in its table.
+    boundary = {i for i, _ in in_wire + out_wire}
+    readers: dict[int, list[int]] = {}
+    for fid, (_, legs) in enumerate(factors):
+        for i, _ in legs:
+            fids = readers.setdefault(i, [])
+            if not fids or fids[-1] != fid:
+                fids.append(fid)
+    block_of = list(range(len(factors)))
+    paired: set[int] = set()
+    for i, fids in readers.items():
+        if len(fids) != 2 or i in boundary or not paired.isdisjoint(fids):
+            continue
+        legs = [factors[fid][1] for fid in fids]
+        narrow = max(map(len, legs)) <= _CACHED_LEGS
+        others = {j for j, _ in legs[0] + legs[1]} - {i}
+        if narrow and len(others) <= _CACHED_LEGS:
+            block_of[fids[1]] = fids[0]
+            paired.update(fids)
+    blocks_reading = {i: {block_of[fid] for fid in fids} for i, fids in readers.items()}
+    lone = {i for i, heads in blocks_reading.items() if len(heads) == 1} - boundary
+    members: dict[int, list[int]] = {}
+    for fid, head in enumerate(block_of):
+        members.setdefault(head, []).append(fid)
+    blocks = []
+    for fids in members.values():
+        slot_of: dict[int, int] = {}
+        key = []
+        for fid in fids:
+            kind, legs = factors[fid]
+            pattern = tuple((slot_of.setdefault(i, len(slot_of)), p) for i, p in legs)
+            key.append((kind, pattern))
+        summed = tuple(slot for i, slot in slot_of.items() if i in lone)
+        blocks.append(((summed, *key), tuple(i for i in slot_of if i not in lone)))
     plan = _Plan(
         too_wide=too_wide,
         odd=odd,
-        in_wire=[index_of[w] for w in in_wire],
-        out_wire=[index_of[w] for w in out_wire],
-        indices=list(dict.fromkeys(i for i, _ in index_of)),
-        factors=factors,
+        in_wire=in_wire,
+        out_wire=out_wire,
+        indices=[i for i in dict.fromkeys(i for i, _ in index_of) if i not in lone],
+        blocks=blocks,
         legless=[(kind, legless.count(kind)) for kind in GeneratorKind if kind in legless],
         root2s=root2s,
     )
@@ -565,17 +626,18 @@ def _contract(
     if plan.odd or clash:
         return ExactMatrix(n_out=len(out_wire), n_in=len(in_wire), entries={})
 
-    # A leg on a fixed index is a constant leg, and a node with only
-    # those is a wireless factor. Wireless factors, legless nodes and
-    # closed indices no factor holds (traced loops, worth 2; a fixed one
-    # is worth 1) enter the scalar only as counted powers.
-    unit = _Factor(wires=(), table={(): (1, 0)})
+    # A block's table on a fixed index is sliced to its bit, and a block
+    # with no index left is a wireless factor. Wireless factors, legless
+    # nodes and closed indices no factor holds (traced loops, worth 2; a
+    # fixed one is worth 1) enter the scalar only as counted powers.
     factors: dict[int, _Factor] = {}
     wireless: list[_Factor] = []
-    for kind, legs in plan.factors:
-        if fixed:
-            legs = [(None, p ^ fixed[i]) if i in fixed else (i, p) for i, p in legs]
-        factor = _node_factor(kind, legs)
+    for key, wires in plan.blocks:
+        factor = _node_factor(key, wires, fixed)
+        if not fixed.keys().isdisjoint(wires):
+            pins = tuple(i for i in wires if i in fixed)
+            pin = _Factor(pins, {tuple(fixed[i] for i in pins): (1, 0)})
+            factor = _join(factor, pin, set(pins))
         if factor.wires:
             factors[len(factors)] = factor
         else:
@@ -614,7 +676,7 @@ def _contract(
         owner_ids = sorted(holders.pop(i))
         joined, *rest = [factors.pop(fid) for fid in owner_ids]
         if not rest:
-            joined, rest = unit, [joined]
+            joined, rest = _UNIT, [joined]
         for k, factor in enumerate(rest, 1):
             joined = _join(joined, factor, {i} if k == len(rest) else set())
         if not joined.wires:
@@ -632,13 +694,13 @@ def _contract(
     # wireless factors. Each boundary bit is its index's bit XOR its
     # parity, so each (key, free bits) pair lands on its own entry; an
     # open wire on a fixed index reads the fixed bit.
-    combined, *rest = [factors[fid] for fid in sorted(factors)] or [unit]
+    combined, *rest = [factors[fid] for fid in sorted(factors)] or [_UNIT]
     for factor in rest:
         combined = _join(combined, factor, set())
     free = sorted(open_indices - set(combined.wires))
     powers = [(_Factor(wires=(), table={(): (0, 1)}), plan.root2s)]
-    powers.append((_node_factor(GeneratorKind.WHITE_SPIDER, ()), len(loops)))
-    powers += [(_node_factor(kind, ()), count) for kind, count in plan.legless]
+    powers.append((_node_factor(((), (GeneratorKind.WHITE_SPIDER, ())), ()), len(loops)))
+    powers += [(_node_factor(((), (kind, ())), ()), count) for kind, count in plan.legless]
     powers += [(factor, 1) for factor in wireless]
     sa, sb, se = 1, 0, 0
     for factor, count in powers:

@@ -615,9 +615,9 @@ class TestParityFusion:
         kinds = []
         node_factor = evaluate_module._node_factor
 
-        def recording(kind, legs):
-            kinds.append((kind, len(legs)))
-            return node_factor(kind, legs)
+        def recording(key, *args):
+            kinds.extend((kind, len(legs)) for kind, legs in key[1:])
+            return node_factor(key, *args)
 
         monkeypatch.setattr(evaluate_module, "_node_factor", recording)
         assert evaluate(d).entry("1", "") == ExactScalar(count, 0, 0)
@@ -703,7 +703,7 @@ class TestCompiledPlans:
         for bits, column in zip(product((0, 1), repeat=2), pinned):
             assert column.entry("", "") == open_matrix.entry("", "".join(map(str, bits)))
 
-    def test_wide_generator_tables_are_not_kept(self) -> None:
+    def test_wide_generator_tables_are_not_kept(self, monkeypatch) -> None:
         # Every call looks up the legless white spider's table; warm it.
         evaluate(generator(H, 0, 1))
         before = dict(evaluate_module._TEMPLATES)
@@ -714,15 +714,114 @@ class TestCompiledPlans:
             for row in map("".join, product("01", repeat=5))
         }
         assert evaluate_module._TEMPLATES == before
+        # A 9-leg box sharing an index with a 3-leg box: the pair would
+        # read 9 other indices, so each is a block of one, and only the
+        # 3-leg box's table may be kept.
+        edges = [(NodePort(node=0, port=0), NodePort(node=1, port=0))]
+        edges += [(NodePort(node=0, port=p), BoundaryPort("out", p - 1)) for p in range(1, 9)]
+        edges += [(NodePort(node=1, port=p), BoundaryPort("out", p + 7)) for p in (1, 2)]
+        beside = Diagram(
+            nodes=(Node(kind=H, degree=9), Node(kind=H, degree=3)),
+            edges=tuple(edges),
+            n_in=0,
+            n_out=10,
+        )
+        keys = []
+        node_factor = evaluate_module._node_factor
+
+        def recording(key, *args):
+            keys.append(key)
+            return node_factor(key, *args)
+
+        monkeypatch.setattr(evaluate_module, "_node_factor", recording)
+        assert evaluate(beside).entries == brute_evaluate(beside)
+        blocks = [[len(legs) for _, legs in key[1:]] for key in keys]
+        assert [9] in blocks and [3] in blocks and max(map(len, blocks)) == 1
+        added = evaluate_module._TEMPLATES.keys() - before.keys()
+        assert all(len(legs) <= 3 for key in added for _, legs in key[1:])
+
+    def test_pinned_wide_node_builds_only_its_slice(self, monkeypatch) -> None:
+        # A 12-leg box's table is not kept, so it is built only on the
+        # bits its pins fix: 2**6 entries, not 2**12.
+        d = generator(H, 6, 6)
+        open_matrix = evaluate(d)
+        sizes = []
+        template = evaluate_module._template
+
+        def recording(*args):
+            factor = template(*args)
+            sizes.append(len(factor.table))
+            return factor
+
+        monkeypatch.setattr(evaluate_module, "_template", recording)
+        bits = (1, 0, 1, 1, 0, 1)
+        column = apply_basis(d, bits, "in")
+        for row in map("".join, product("01", repeat=6)):
+            assert column.entry(row, "") == open_matrix.entry(row, "101101")
+        assert sizes and max(sizes) <= 2**6
+
+    def test_kept_tables_are_capped(self, monkeypatch) -> None:
+        # Past the cap, new patterns are built per call; results hold.
+        monkeypatch.setattr(evaluate_module, "_TEMPLATES", {})
+        monkeypatch.setattr(evaluate_module, "_MAX_TEMPLATES", 40)
+        for seed in range(60, 80):
+            assert verify_instance(random_sat_compare(random.Random(seed))) == []
+        assert len(evaluate_module._TEMPLATES) == 40
+
+    def test_repeated_verify_adds_no_table(self, monkeypatch) -> None:
+        monkeypatch.setattr(evaluate_module, "_TEMPLATES", {})
+        instances = [random_sat_compare(random.Random(seed)) for seed in range(20, 26)]
+        for inst in instances:
+            assert verify_instance(inst) == []
+        kept = set(evaluate_module._TEMPLATES)
+        assert kept
+        for inst in instances:
+            assert verify_instance(inst) == []
+        assert set(evaluate_module._TEMPLATES) == kept
+
+    def test_pins_slice_kept_tables(self, monkeypatch) -> None:
+        # A pinned table is a slice of the open one, not a table of its own.
+        monkeypatch.setattr(evaluate_module, "_TEMPLATES", {})
+        built = build_contains_entry(random_sat_compare(random.Random(33)), DyadicK(1, 0))
+        open_matrix = evaluate(built)
+        kept = set(evaluate_module._TEMPLATES)
+        for bits in product((0, 1), repeat=built.n_in):
+            column = apply_basis(built, bits, "in")
+            assert column.entry("", "") == open_matrix.entry("", "".join(map(str, bits)))
+        assert set(evaluate_module._TEMPLATES) == kept
+
+    def test_blocks_sum_their_lone_indices(self, monkeypatch) -> None:
+        # A closed index read by one node alone, or by the two nodes of a
+        # pair alone, is summed inside the block's table, so no block
+        # reaches the elimination loop as a lone owner.
+        built = build_contains_entry(random_sat_compare(random.Random(42)), DyadicK(3, 2))
+        evaluate(built)  # warm the kept tables, so no join below builds one
+        blocks, lone_owners = [], []
+        node_factor, join = evaluate_module._node_factor, evaluate_module._join
+
+        def making(*args):
+            blocks.append(node_factor(*args))
+            return blocks[-1]
+
+        def joining(f1, f2, summed):
+            if not f1.wires:
+                lone_owners.append(f2)
+            return join(f1, f2, summed)
+
+        monkeypatch.setattr(evaluate_module, "_node_factor", making)
+        monkeypatch.setattr(evaluate_module, "_join", joining)
+        evaluate(built)
+        assert blocks
+        assert not {id(f) for f in blocks} & {id(f) for f in lone_owners}
 
     def test_pins_add_no_factor(self, monkeypatch) -> None:
         built = build_contains_entry(two_variable_instance(), DyadicK(3, 2))
         calls = []
         node_factor = evaluate_module._node_factor
 
-        def recording(kind, legs):
-            calls.append(len(legs))
-            return node_factor(kind, legs)
+        def recording(*args):
+            calls.append(args)
+            return node_factor(*args)
 
         monkeypatch.setattr(evaluate_module, "_node_factor", recording)
         evaluate(built)
