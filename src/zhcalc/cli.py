@@ -306,6 +306,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ValueError, KeyError, RuntimeError, FormulaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # its message is empty, so name the cause
+        print("error: ran out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -26,10 +26,12 @@ that its solver then evaluates open.
 Inside the engine a factor's table holds plain (a, b) int pairs under one
 exponent e per factor, each read as (a + b*sqrt(2)) / 2**e, so products
 and sums are int arithmetic; factors without wires are multiplied into
-one scalar instead. Legless nodes and two-leg dark wires never become
-factors: they are counted per kind, and each kind's value is raised to
-its count by repeated squaring. Values are canonicalized into
-``ExactScalar`` only on exit, when the ``ExactMatrix`` is assembled.
+one scalar instead. That scalar starts from the plan's, which folds in
+what no pin can change: legless nodes and two-leg dark wires never
+become factors, and the compile raises each legless kind's value and
+sqrt(2) to their counts, times 2 per traced loop, or zero for an odd
+cycle. Values are canonicalized into ``ExactScalar`` only on exit, when
+the ``ExactMatrix`` is assembled.
 The compile also groups factor nodes into blocks: two nodes that alone
 read a closed index, each of at most 8 legs and together reading at most
 8 other indices, form a block, and any other node is a block of one. A
@@ -38,7 +40,8 @@ it never reaches the elimination loop. A block's table depends only on
 its pattern (kinds, (slot, parity) legs, summed slots), so the process
 keeps one table per pattern of nodes of at most 8 legs, up to 2048
 tables, and pins slice it; a wider node's table is built per call, only
-on its pinned bits.
+on its pinned bits. Either way a generator's support is read once, as
+all of one generator's values share one exponent.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from operator import itemgetter
 from typing import Iterator, Sequence, Union
 
 from .diagram import ArityMismatch, Diagram, GeneratorKind, NodePort
-from .scalar import ExactScalar, ONE, TWO, HALF, ZERO, sqrt2_pow
+from .scalar import ExactScalar, ONE, SQRT2, TWO, HALF, ZERO, sqrt2_pow
 
 DEFAULT_MAX_BOUNDARY = 22
 
@@ -329,16 +332,16 @@ def _template(
     slot (a self-loop, or legs fused into one index), support entries
     that disagree on that slot vanish, and the survivors are keyed by one
     bit per distinct slot, in the order the legs first read them; so do
-    those that disagree with the bit ``pins`` holds for a slot. Values are
-    put over the largest exponent in the support, which is streamed twice
-    rather than held.
+    those that disagree with the bit ``pins`` holds for a slot. The support
+    is read once: all values of one generator share one exponent.
     """
     slots = tuple(dict.fromkeys(slot for slot, _ in pattern))
     local = [(slots.index(slot), parity) for slot, parity in pattern]
     start = [pins.get(slot) for slot in slots]
-    e = max((value.e for _, value in _generator_support(kind, len(pattern))), default=0)
+    e = 0
     table: dict[tuple[int, ...], tuple[int, int]] = {}
     for bits, value in _generator_support(kind, len(pattern)):
+        e = value.e
         key = start.copy()
         for (k, parity), bit in zip(local, bits):
             bit ^= parity
@@ -349,8 +352,7 @@ def _template(
         else:
             at = tuple(key)
             a, b = table.get(at, (0, 0))
-            shift = e - value.e
-            table[at] = (a + (value.a << shift), b + (value.b << shift))
+            table[at] = (a + value.a, b + value.b)
     return _Factor(slots, {k: v for k, v in table.items() if v != (0, 0)}, e)
 
 
@@ -428,20 +430,16 @@ class _Plan:
     pins. Each boundary position is an (index, parity) pair, reading the
     bit of its fused index XOR the parity, and each block of factor
     nodes is its table's key and the indices it keeps (see
-    ``_node_factor``); ``indices`` leaves out those summed in a block.
-    ``too_wide`` is the refusal a node with too many enumerated legs
-    earns, ``odd`` marks an odd cycle of NOT wires, ``legless`` counts
-    legless nodes per kind, and ``root2s`` the two-leg dark generators
-    fused into wires."""
+    ``_node_factor``). ``too_wide`` is the refusal a node with too many
+    enumerated legs earns, and ``scalar`` = (a, b, e) is the factor no
+    pin can change: legless nodes, fused two-leg dark generators and
+    traced loops, or zero for an odd cycle of NOT wires."""
 
     too_wide: str | None
-    odd: int
     in_wire: list[tuple[int, int]]
     out_wire: list[tuple[int, int]]
-    indices: list[int]
     blocks: list[tuple[tuple, tuple[int, ...]]]
-    legless: list[tuple[GeneratorKind, int]]
-    root2s: int
+    scalar: tuple[int, int, int]
 
 
 # The last plan made, with a weak reference to its diagram: a diagram
@@ -461,16 +459,6 @@ def _plan(d: Diagram) -> _Plan:
     if problems:
         shown = "; ".join(str(p) for p in problems[:3])
         raise InvalidDiagram(f"{len(problems)} problem(s), first: {shown}")
-    enumerated = (GeneratorKind.H_BOX, GeneratorKind.DARK_SPIDER, GeneratorKind.DARK_NOT)
-    too_wide = next(
-        (
-            f"node {nid} ({node.kind.value}) has {node.degree} legs, over the "
-            f"bound of {DEFAULT_MAX_BOUNDARY}"
-            for nid, node in enumerate(d.nodes)
-            if node.kind in enumerated and node.degree > DEFAULT_MAX_BOUNDARY
-        ),
-        None,
-    )
 
     node_slots: list[list[int]] = [[-1] * node.degree for node in d.nodes]
     in_wire = [-1] * d.n_in
@@ -529,16 +517,23 @@ def _plan(d: Diagram) -> _Plan:
     factors: list[tuple[GeneratorKind, list[tuple[int, int]]]] = []
     legless: list[GeneratorKind] = []
     root2s = 0
-    for (kind, degree), wires in zip(d.nodes, node_slots):
+    too_wide = None
+    for nid, ((kind, degree), wires) in enumerate(zip(d.nodes, node_slots)):
         if not wires:
             legless.append(kind)
         elif kind is GeneratorKind.WHITE_SPIDER:
             continue
+        elif kind is GeneratorKind.WHITE_NOT:
+            factors.append((kind, [index_of[wires[0]]]))
         elif kind in dark and degree == 2:
             root2s += 1
         else:
-            legs = [index_of[w] for w in wires]
-            factors.append((kind, legs[:1] if kind is GeneratorKind.WHITE_NOT else legs))
+            if degree > DEFAULT_MAX_BOUNDARY and too_wide is None:
+                too_wide = (
+                    f"node {nid} ({kind.value}) has {degree} legs, over the "
+                    f"bound of {DEFAULT_MAX_BOUNDARY}"
+                )
+            factors.append((kind, [index_of[w] for w in wires]))
     in_wire = [index_of[w] for w in in_wire]
     out_wire = [index_of[w] for w in out_wire]
 
@@ -580,16 +575,23 @@ def _plan(d: Diagram) -> _Plan:
             key.append((kind, pattern))
         summed = tuple(slot for i, slot in slot_of.items() if i in lone)
         blocks.append(((summed, *key), tuple(i for i in slot_of if i not in lone)))
-    plan = _Plan(
-        too_wide=too_wide,
-        odd=odd,
-        in_wire=in_wire,
-        out_wire=out_wire,
-        indices=[i for i in dict.fromkeys(i for i, _ in index_of) if i not in lone],
-        blocks=blocks,
-        legless=[(kind, legless.count(kind)) for kind in GeneratorKind if kind in legless],
-        root2s=root2s,
-    )
+
+    # The scalar no pin can change: each legless kind's value to its
+    # count, sqrt(2) per fused dark generator, and 2 per traced loop (a
+    # fused index that no node and no boundary position reads); zero if
+    # the fusion closed an odd NOT cycle.
+    loops = len({i for i, _ in index_of} - readers.keys() - boundary)
+    powers = [(SQRT2, root2s), (TWO, loops)]
+    for kind in GeneratorKind:
+        if kind in legless:
+            value = dict(_generator_support(kind, 0)).get((), ZERO)
+            powers.append((value, legless.count(kind)))
+    sa, sb, se = 1 - odd, 0, 0
+    for value, count in powers:
+        fa, fb = _power(value.a, value.b, count)
+        sa, sb = sa * fa + 2 * sb * fb, sa * fb + sb * fa
+        se += value.e * count
+    plan = _Plan(too_wide, in_wire, out_wire, blocks, (sa, sb, se))
     _last_plan = (weakref.ref(d), plan)
     return plan
 
@@ -612,8 +614,8 @@ def _contract(
         raise TooLarge(plan.too_wide)
 
     # A pinned position leaves the boundary; the index it reads is fixed
-    # to its bit XOR its parity, and two pins disagreeing on one index
-    # make the diagram zero, like an odd cycle.
+    # to its bit XOR its parity. Two pins disagreeing on one index make
+    # the diagram zero, as a zero scalar does; then no table is built.
     in_wire, out_wire = plan.in_wire, plan.out_wire
     fixed: dict[int, int] = {}
     clash = False
@@ -623,13 +625,12 @@ def _contract(
         in_wire = in_wire[len(bits) :]
     else:
         out_wire = out_wire[len(bits) :]
-    if plan.odd or clash:
+    sa, sb, se = plan.scalar
+    if clash or not (sa or sb):
         return ExactMatrix(n_out=len(out_wire), n_in=len(in_wire), entries={})
 
     # A block's table on a fixed index is sliced to its bit, and a block
-    # with no index left is a wireless factor. Wireless factors, legless
-    # nodes and closed indices no factor holds (traced loops, worth 2; a
-    # fixed one is worth 1) enter the scalar only as counted powers.
+    # with no index left is a wireless factor, which enters the scalar.
     factors: dict[int, _Factor] = {}
     wireless: list[_Factor] = []
     for key, wires in plan.blocks:
@@ -642,15 +643,11 @@ def _contract(
             factors[len(factors)] = factor
         else:
             wireless.append(factor)
-    holders: dict[int, set[int]] = {i: set() for i in plan.indices if i not in fixed}
+    holders: dict[int, set[int]] = {}
     for fid, factor in factors.items():
         for i in factor.wires:
-            holders[i].add(fid)
-    shown = {i: fixed[i] for i, _ in in_wire + out_wire if i in fixed}
-    open_indices = {i for i, _ in in_wire + out_wire} - shown.keys()
-    loops = [i for i, fids in holders.items() if not fids and i not in open_indices]
-    for i in loops:
-        del holders[i]
+            holders.setdefault(i, set()).add(fid)
+    open_indices = {i for i, _ in in_wire + out_wire} - fixed.keys()
 
     # Bucket elimination: pop the cheapest closed index (fewest indices
     # spanned by its factors; "greedy" breaks a tie by the lowest index,
@@ -690,7 +687,7 @@ def _contract(
 
     # Only open indices remain. Fold the surviving factors into one
     # sparse table, then expand the open indices no factor holds. Values
-    # become ExactScalar only here, times the product (sa, sb, se) of the
+    # become ExactScalar only here, times the plan's scalar and the
     # wireless factors. Each boundary bit is its index's bit XOR its
     # parity, so each (key, free bits) pair lands on its own entry; an
     # open wire on a fixed index reads the fixed bit.
@@ -698,20 +695,15 @@ def _contract(
     for factor in rest:
         combined = _join(combined, factor, set())
     free = sorted(open_indices - set(combined.wires))
-    powers = [(_Factor(wires=(), table={(): (0, 1)}), plan.root2s)]
-    powers.append((_node_factor(((), (GeneratorKind.WHITE_SPIDER, ())), ()), len(loops)))
-    powers += [(_node_factor(((), (kind, ())), ()), count) for kind, count in plan.legless]
-    powers += [(factor, 1) for factor in wireless]
-    sa, sb, se = 1, 0, 0
-    for factor, count in powers:
-        fa, fb = _power(*factor.table.get((), (0, 0)), count)  # an empty table is zero
+    for factor in wireless:
+        fa, fb = factor.table.get((), (0, 0))  # an empty table is zero
         sa, sb = sa * fa + 2 * sb * fb, sa * fb + sb * fa
-        se += factor.e * count
+        se += factor.e
 
     entries: dict[tuple[str, str], ExactScalar] = {}
     for key, (a, b) in combined.table.items() if sa or sb else ():
         value = ExactScalar(a * sa + 2 * b * sb, a * sb + b * sa, combined.e + se)
-        base = shown | dict(zip(combined.wires, key))
+        base = fixed | dict(zip(combined.wires, key))
         for fill in product((0, 1), repeat=len(free)):
             assignment = base | dict(zip(free, fill))
             row = "".join(str(assignment[i] ^ p) for i, p in out_wire)

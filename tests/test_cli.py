@@ -378,6 +378,25 @@ class TestErrors:
         assert main(command + [path]) == 2
         self._assert_one_error_line(capsys)
 
+    def test_non_object_instance(self, tmp_path, capsys) -> None:
+        path = write_json(tmp_path / "list.json", [])
+        assert main(["verify", path]) == 2
+        self._assert_one_error_line(capsys)
+
+    def test_empty_variable_list(self, capsys) -> None:
+        assert main(["count", "x1", "--vars", ","]) == 2
+        self._assert_one_error_line(capsys)
+
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch) -> None:
+        def exhaust(diagram):
+            raise MemoryError
+
+        monkeypatch.setattr(sys.modules["zhcalc.cli"], "evaluate", exhaust)
+        path = diagram_file(tmp_path, "box.json", generator(GeneratorKind.H_BOX, 1, 1))
+        assert main(["eval", path]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: ran out of memory\n"
+
     @staticmethod
     def _assert_one_error_line(capsys) -> None:
         err = capsys.readouterr().err.splitlines()

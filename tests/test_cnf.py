@@ -251,3 +251,18 @@ class TestDimacs:
         with pytest.raises(ValueError):
             from_dimacs("p cnf 1 1\n2 0\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("c only a comment\n", "missing problem line"),
+            ("1 -2 0\np cnf 2 1\n", "clause before problem line"),
+            ("p cnf 2\n1 0\n", "bad problem line: 'p cnf 2'"),
+            ("p dnf 2 1\n1 0\n", "bad problem line: 'p dnf 2 1'"),
+        ],
+        ids=["no-p-line", "clause-first", "short-p-line", "not-cnf"],
+    )
+    def test_rejects_a_bad_problem_line(self, text, message) -> None:
+        with pytest.raises(ValueError) as info:
+            from_dimacs(text)
+        assert str(info.value) == message
+

@@ -77,6 +77,10 @@ def _never_enumerate(kind, degree):
     raise AssertionError(f"enumerated the support of a degree-{degree} {kind}")
 
 
+def _never_power(a, b, n):
+    raise AssertionError("a run raised a power")
+
+
 # -- oracle 1: ket expansion over Fraction pairs -----------------------------
 
 Pair = "tuple[Fraction, Fraction]"
@@ -181,6 +185,14 @@ class TestGeneratorMatrices:
         assert interpret_generator(X, 0, 0).entry("", "") == SQRT2 * 2
         assert interpret_generator(XNOT, 0, 0).is_zero
         assert interpret_generator(H, 0, 0).entry("", "") == -ONE
+
+    def test_support_values_share_one_exponent(self) -> None:
+        # A kept table puts all of a generator's values over the first
+        # one's exponent, reading the support once.
+        for kind in GeneratorKind:
+            for degree in range(1 if kind is STAR else 13):
+                support = evaluate_module._generator_support(kind, degree)
+                assert len({value.e for _, value in support}) <= 1, (kind, degree)
 
 
 # -- oracle 2: brute force over all edge assignments -------------------------
@@ -639,6 +651,27 @@ class TestScalarAccumulator:
         got = evaluate(d)
         assert (got.n_out, got.n_in) == (2, 2) and got.is_zero
 
+    def test_legless_white_not_zeroes_a_pinned_diagram(self) -> None:
+        d = tensor(generator(H, 2, 3), generator(ZNOT, 0, 0))
+        column = apply_basis(d, (1, 1), "in")
+        assert (column.n_out, column.n_in) == (3, 0) and column.is_zero
+        row = apply_basis(d, (0, 1, 1), "out")
+        assert (row.n_out, row.n_in) == (0, 2) and row.is_zero
+
+    def test_runs_reuse_the_plan_scalar(self, monkeypatch) -> None:
+        # Stars, a legless spider, a traced loop and a fused sqrt(2) wire
+        # are folded once per diagram; a later run raises no power.
+        parts = [stars(3), generator(Z, 0, 0), self_looped(Z, 2), generator(X, 1, 1)]
+        d = tensor_all(parts + [generator(H, 1, 1)])
+        want = evaluate(d)
+        assert want.entries == brute_evaluate(d)
+        monkeypatch.setattr(evaluate_module, "_power", _never_power)
+        assert evaluate(d, order="sequential") == want
+        column = apply_basis(d, (1, 0), "in")
+        assert column.entries == {
+            (row, ""): v for (row, col), v in want.entries.items() if col == "10"
+        }
+
     def test_joins_are_wired(self, monkeypatch) -> None:
         d, _ = seeded_counting_state(1, 6, 12)
         built = build_contains_entry(two_variable_instance(), DyadicK(0, 0))
@@ -904,6 +937,10 @@ class TestApplyBasis:
             apply_basis(identity(2), (0,), "in")
         with pytest.raises(ValueError):
             apply_basis(identity(1), (0,), "sideways")
+
+    def test_output_arity_check(self) -> None:
+        with pytest.raises(ArityMismatch, match="state has 3 bits, diagram emits 2"):
+            apply_basis(identity(2), (0, 1, 1), "out")
 
     def test_basis_state_parsing(self) -> None:
         assert BasisState.from_string("010").bits == (0, 1, 0)

@@ -108,6 +108,11 @@ def test_parse_errors():
             parse_formula(bad)
 
 
+def test_parse_ignores_trailing_blanks():
+    assert parse_formula("x1 ") == x1
+    assert parse_formula("x1 & x2 \t\n") == And(x1, x2)
+
+
 def test_format_round_trip_examples():
     cases = [
         Or(And(Not(x1), x2), x3),
@@ -201,6 +206,12 @@ def test_sat_compare_instance_json():
     assert SatCompareInstance.from_json(obj) == inst
     with pytest.raises(ValueError):
         SatCompareInstance(n=1, m=1, psi=Var("q7"), rho=Var("z1"))
+
+
+@pytest.mark.parametrize("obj", [[], "x1", None, 3])
+def test_sat_compare_instance_json_must_be_an_object(obj):
+    with pytest.raises(ValueError, match="instance JSON must be an object"):
+        SatCompareInstance.from_json(obj)
 
 
 @pytest.mark.parametrize("n, m", [(21, 1), (1, 21)])
