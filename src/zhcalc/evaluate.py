@@ -17,11 +17,12 @@ its index, so every table on it keeps only the entries with that bit,
 the index is never summed, and no plugged diagram is built.
 
 Each call splits into a compile and a run. The compile (``_plan``)
-validates the diagram, fuses its wires and lists each factor node's
-legs as (index, parity) pairs; it does not depend on pins. The last plan
-is kept, holding its diagram by weak reference, and reused when the
-same object comes back, as when a builder's self-check pins a diagram
-that its solver then evaluates open.
+checks the diagram's shape in its one walk over the edges, fuses its
+wires and lists each factor node's legs as (index, parity) pairs; it
+calls ``validate`` only to list a faulty diagram's problems, and it does
+not depend on pins. The last plan is kept, holding its diagram by weak
+reference, and reused when the same object comes back, as when a
+builder's self-check pins a diagram that its solver then evaluates open.
 
 Inside the engine a factor's table holds plain (a, b) int pairs under one
 exponent e per factor, each read as (a + b*sqrt(2)) / 2**e, so products
@@ -449,28 +450,37 @@ _last_plan: tuple[weakref.ref, _Plan] | None = None
 
 
 def _plan(d: Diagram) -> _Plan:
-    """Validate ``d``, fuse its wires into indices and list its factor
-    nodes' legs; or return the last plan, if it was made for ``d``."""
+    """Check ``d``'s shape in one walk over its edges, fuse its wires
+    into indices and list its factor nodes' legs; or return the last
+    plan, if it was made for ``d``. ``validate`` is called only to list a
+    faulty diagram's problems for the InvalidDiagram message."""
     global _last_plan
     last = _last_plan  # read once, so another thread's plan is never mixed in
     if last is not None and last[0]() is d:
         return last[1]
-    problems = d.validate()
-    if problems:
-        shown = "; ".join(str(p) for p in problems[:3])
-        raise InvalidDiagram(f"{len(problems)} problem(s), first: {shown}")
 
-    node_slots: list[list[int]] = [[-1] * node.degree for node in d.nodes]
-    in_wire = [-1] * d.n_in
-    out_wire = [-1] * d.n_out
-    for widx, (a, b) in enumerate(d.edges):
-        for ep in (a, b):
+    # One walk over the edges gives each node leg and boundary position
+    # its wire and notes any fault: a node, port or position out of range
+    # or used twice, or an unknown side. Then every slot is filled iff
+    # the endpoints number as many as the slots.
+    nodes, edges = d.nodes, d.edges
+    node_slots = [[-1] * degree if degree > 0 else () for _, degree in nodes]
+    in_wire, out_wire = [-1] * d.n_in, [-1] * d.n_out
+    n_nodes, faulty = len(nodes), False
+    for widx, edge in enumerate(edges):
+        for ep in edge:
             if type(ep) is NodePort:
                 node, port = ep
-                node_slots[node][port] = widx
+                slots = node_slots[node] if 0 <= node < n_nodes else ()
             else:
-                target = in_wire if ep.side == "in" else out_wire
-                target[ep.pos] = widx
+                side, port = ep
+                slots = in_wire if side == "in" else out_wire if side == "out" else ()
+            if 0 <= port < len(slots) and slots[port] < 0:
+                slots[port] = widx
+            else:
+                faulty = True
+    if faulty or 2 * len(edges) != sum(map(len, node_slots)) + len(in_wire) + len(out_wire):
+        raise _invalid(d)
 
     # Spider fusion: the legs of a white spider or white not carry one
     # bit, so their wires form one index, named by its lowest wire. A
@@ -478,8 +488,8 @@ def _plan(d: Diagram) -> _Plan:
     # dark not sqrt(2) times a NOT wire, so each joins its two wires too,
     # the not with parity 1. find(w) gives w's index and the parity of w
     # against it; a union closing an odd cycle makes the diagram zero.
-    root = list(range(len(d.edges)))
-    flip = [0] * len(d.edges)
+    root = list(range(len(edges)))
+    flip = [0] * len(edges)
 
     def find(w: int) -> tuple[int, int]:
         parity = 0
@@ -491,90 +501,109 @@ def _plan(d: Diagram) -> _Plan:
             w = root[w]
         return w, parity
 
-    def union(u: int, v: int, parity: int) -> int:
-        """Join u and v with bit(u) ^ bit(v) == parity; 1 on a conflict."""
-        (a, pa), (b, pb) = find(u), find(v)
-        if a == b:
-            return pa ^ pb ^ parity
-        a, b = sorted((a, b))
-        root[b], flip[b] = a, pa ^ pb ^ parity
-        return 0
-
-    dark = (GeneratorKind.DARK_SPIDER, GeneratorKind.DARK_NOT)
-    odd = 0
-    for (kind, degree), legs in zip(d.nodes, node_slots):
-        if kind in (GeneratorKind.WHITE_SPIDER, GeneratorKind.WHITE_NOT):
-            for w in legs[1:]:
-                odd |= union(legs[0], w, 0)
-        elif kind in dark and degree == 2:
-            odd |= union(*legs, kind is GeneratorKind.DARK_NOT)
-    index_of = [find(w) for w in range(len(d.edges))]
-
-    # A fused white spider is a plain index; a fused white not keeps one
-    # leg for its sign, and a fused dark one is a counted sqrt(2).
-    # Legless nodes are listed by kind and counted by list.count, since
-    # an enum hashes in Python.
-    factors: list[tuple[GeneratorKind, list[tuple[int, int]]]] = []
+    # One loop over the nodes, with the kinds read into locals once (an
+    # enum attribute costs more than the rest of a node's visit). It finds
+    # the one fault the walk cannot see: a star of nonzero degree, whose
+    # slots may all be filled, or which has none. Each union puts the
+    # higher index under the lower, so that bit(first leg) ^ bit(leg) == p.
+    # White nots and enumerated nodes become factors, listed by id; legless
+    # nodes are listed by kind and counted by list.count, as an enum hashes
+    # in Python.
+    star, white, white_not = GeneratorKind.STAR, GeneratorKind.WHITE_SPIDER, GeneratorKind.WHITE_NOT
+    dark, dark_not = GeneratorKind.DARK_SPIDER, GeneratorKind.DARK_NOT
+    factor_ids: list[int] = []
     legless: list[GeneratorKind] = []
-    root2s = 0
-    too_wide = None
-    for nid, ((kind, degree), wires) in enumerate(zip(d.nodes, node_slots)):
-        if not wires:
+    root2s = odd = 0
+    for nid, legs in enumerate(node_slots):
+        kind, degree = nodes[nid]
+        if kind is star and degree:
+            raise _invalid(d)
+        if not legs:
             legless.append(kind)
-        elif kind is GeneratorKind.WHITE_SPIDER:
             continue
-        elif kind is GeneratorKind.WHITE_NOT:
-            factors.append((kind, [index_of[wires[0]]]))
-        elif kind in dark and degree == 2:
+        if kind is white or kind is white_not:
+            p = 0
+            if kind is white_not:
+                factor_ids.append(nid)
+        elif degree == 2 and (kind is dark or kind is dark_not):
+            p = kind is dark_not
             root2s += 1
+        else:
+            factor_ids.append(nid)
+            continue
+        a, pa = find(legs[0])
+        for w in legs[1:]:
+            b, pb = find(w)
+            pb ^= p
+            if a == b:
+                odd |= pa ^ pb
+            elif a < b:
+                root[b], flip[b] = a, pa ^ pb
+            else:
+                root[a], flip[a] = b, pa ^ pb
+                a, pa = b, pb
+    index_of = [find(w) for w in range(len(edges))]
+
+    # A fused white not keeps one leg for its sign. Each factor's legs
+    # are (index, parity) pairs; readers lists the factors reading each
+    # index, in the order the indices are first read.
+    factors: list[tuple[GeneratorKind, list[tuple[int, int]]]] = []
+    readers: dict[int, list[int]] = {}
+    too_wide = None
+    for fid, nid in enumerate(factor_ids):
+        kind, degree = nodes[nid]
+        wires = node_slots[nid]
+        if kind is white_not:
+            legs = [index_of[wires[0]]]
         else:
             if degree > DEFAULT_MAX_BOUNDARY and too_wide is None:
                 too_wide = (
                     f"node {nid} ({kind.value}) has {degree} legs, over the "
                     f"bound of {DEFAULT_MAX_BOUNDARY}"
                 )
-            factors.append((kind, [index_of[w] for w in wires]))
+            legs = [index_of[w] for w in wires]
+        factors.append((kind, legs))
+        for i, _ in legs:
+            fids = readers.get(i)
+            if fids is None:
+                readers[i] = [fid]
+            elif fids[-1] != fid:
+                fids.append(fid)
     in_wire = [index_of[w] for w in in_wire]
     out_wire = [index_of[w] for w in out_wire]
 
     # Blocks: two nodes that alone read a closed index, each of at most
     # _CACHED_LEGS legs and together reading at most _CACHED_LEGS other
     # indices, are paired; a node joins at most one pair, and any other is
-    # a block of one. A closed index that one block alone reads is summed
-    # in its table.
+    # a block of one. A closed index that one block alone reads is lone,
+    # and summed in its table: one factor reads it, or two that are paired
+    # (whether two nodes pair does not depend on the index they share).
     boundary = {i for i, _ in in_wire + out_wire}
-    readers: dict[int, list[int]] = {}
-    for fid, (_, legs) in enumerate(factors):
-        for i, _ in legs:
-            fids = readers.setdefault(i, [])
-            if not fids or fids[-1] != fid:
-                fids.append(fid)
-    block_of = list(range(len(factors)))
-    paired: set[int] = set()
+    mate: dict[int, int] = {}
+    lone: set[int] = set()
     for i, fids in readers.items():
-        if len(fids) != 2 or i in boundary or not paired.isdisjoint(fids):
+        if len(fids) > 2 or i in boundary:
             continue
-        legs = [factors[fid][1] for fid in fids]
-        narrow = max(map(len, legs)) <= _CACHED_LEGS
-        others = {j for j, _ in legs[0] + legs[1]} - {i}
-        if narrow and len(others) <= _CACHED_LEGS:
-            block_of[fids[1]] = fids[0]
-            paired.update(fids)
-    blocks_reading = {i: {block_of[fid] for fid in fids} for i, fids in readers.items()}
-    lone = {i for i, heads in blocks_reading.items() if len(heads) == 1} - boundary
-    members: dict[int, list[int]] = {}
-    for fid, head in enumerate(block_of):
-        members.setdefault(head, []).append(fid)
+        if len(fids) == 2 and mate.get(fids[0]) != fids[1]:
+            f0, f1 = fids
+            legs0, legs1 = factors[f0][1], factors[f1][1]
+            others = len({j for j, _ in legs0 + legs1}) - 1
+            if f0 in mate or f1 in mate or max(len(legs0), len(legs1), others) > _CACHED_LEGS:
+                continue
+            mate[f0], mate[f1] = f1, f0
+        lone.add(i)
     blocks = []
-    for fids in members.values():
+    for fid in range(len(factors)):
+        partner = mate.get(fid, fid)
+        if partner < fid:
+            continue
         slot_of: dict[int, int] = {}
         key = []
-        for fid in fids:
-            kind, legs = factors[fid]
-            pattern = tuple((slot_of.setdefault(i, len(slot_of)), p) for i, p in legs)
+        for kind, legs in [factors[fid]] if partner == fid else [factors[fid], factors[partner]]:
+            pattern = tuple([(slot_of.setdefault(i, len(slot_of)), p) for i, p in legs])
             key.append((kind, pattern))
-        summed = tuple(slot for i, slot in slot_of.items() if i in lone)
-        blocks.append(((summed, *key), tuple(i for i in slot_of if i not in lone)))
+        summed = tuple([slot for i, slot in slot_of.items() if i in lone])
+        blocks.append(((summed, *key), tuple([i for i in slot_of if i not in lone])))
 
     # The scalar no pin can change: each legless kind's value to its
     # count, sqrt(2) per fused dark generator, and 2 per traced loop (a
@@ -594,6 +623,14 @@ def _plan(d: Diagram) -> _Plan:
     plan = _Plan(too_wide, in_wire, out_wire, blocks, (sa, sb, se))
     _last_plan = (weakref.ref(d), plan)
     return plan
+
+
+def _invalid(d: Diagram) -> InvalidDiagram:
+    """The error for a faulty diagram, showing the first of the problems
+    that ``validate`` lists."""
+    problems = d.validate()
+    shown = "; ".join(str(p) for p in problems[:3])
+    return InvalidDiagram(f"{len(problems)} problem(s), first: {shown}")
 
 
 def _contract(

@@ -49,7 +49,13 @@ from zhcalc.evaluate import (
     scalar_matrix,
 )
 from zhcalc.formula import SatCompareInstance, count_sat, parse_formula
-from zhcalc.reductions import DyadicK, build_contains_entry, verify_instance
+from zhcalc.reductions import (
+    DyadicK,
+    build_circuit_extraction,
+    build_contains_entry,
+    build_state_eq,
+    verify_instance,
+)
 from zhcalc.scalar import ExactScalar, HALF, ONE, SQRT2, TWO, ZERO
 
 Z = GeneratorKind.WHITE_SPIDER
@@ -700,7 +706,24 @@ class TestCompiledPlans:
     """Each diagram is compiled once into a plan that later calls on the
     same object reuse; pins slice tables instead of adding nodes."""
 
-    def test_verify_instance_validates_each_diagram_once(self, monkeypatch) -> None:
+    def test_verify_instance_compiles_each_diagram_once(self, monkeypatch) -> None:
+        calls = []
+        compile_ = evaluate_module._plan
+
+        def recording(d):
+            calls.append((d, compile_(d)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(evaluate_module, "_plan", recording)
+        assert verify_instance(random_sat_compare(random.Random(15))) == []
+        # A compile makes a new plan and a reuse returns the last one. The
+        # state-eq pair, then three contains-entry diagrams, each pinned
+        # by its builder's self-check and then evaluated open.
+        compiled = {id(plan): d for d, plan in calls}
+        assert len(compiled) == 5
+        assert len({id(d) for d in compiled.values()}) == 5
+
+    def test_validates_only_faulty_diagrams(self, monkeypatch) -> None:
         seen = []
         validate = Diagram.validate
 
@@ -709,11 +732,21 @@ class TestCompiledPlans:
             return validate(self)
 
         monkeypatch.setattr(Diagram, "validate", recording)
-        assert verify_instance(random_sat_compare(random.Random(15))) == []
-        # The state-eq pair, then three contains-entry diagrams, each
-        # pinned by its builder's self-check and then evaluated open.
-        assert len(seen) == 5
-        assert len({id(d) for d in seen}) == 5
+        valid = [seeded_counting_state(7, 5, 10)[0], self_looped(H, 3), stars(2)]
+        valid += [random_diagram(random.Random(seed)) for seed in range(20)]
+        for d in valid:
+            evaluate(d)
+        assert seen == []
+        # An empty slot is caught in the walk over the edges, a star with
+        # legs in the node loop; each faulty diagram is validated once.
+        for d in (
+            Diagram(nodes=(Node(kind=Z, degree=1),), edges=(), n_in=0, n_out=0),
+            self_looped(STAR, 1),
+        ):
+            with pytest.raises(InvalidDiagram):
+                evaluate(d)
+            assert seen == [d]
+            seen.clear()
 
     def test_cached_plan_keeps_no_diagram_alive(self) -> None:
         d = generator(H, 1, 2)
@@ -862,6 +895,107 @@ class TestCompiledPlans:
         calls.clear()
         apply_basis(built, (1, 0), "in")
         assert len(calls) == opened
+
+
+def shape_mutations(d: Diagram, rng: random.Random) -> list[Diagram]:
+    """One seeded single mutation of ``d`` per kind that the compile's
+    shape check must tell apart: most make ``d`` faulty, a few leave it
+    well formed (n_in = -1 on a diagram without inputs, say)."""
+    edges, nodes = [list(edge) for edge in d.edges], list(d.nodes)
+    ends = [(e, s) for e in range(len(edges)) for s in (0, 1)]
+    ports = [(e, s) for e, s in ends if type(edges[e][s]) is NodePort]
+    sides = [(e, s) for e, s in ends if type(edges[e][s]) is BoundaryPort]
+    stars = [nid for nid, node in enumerate(nodes) if node.kind is STAR]
+
+    def made(edges=edges, nodes=nodes, n_in=d.n_in, n_out=d.n_out) -> Diagram:
+        return Diagram(tuple(nodes), tuple(map(tuple, edges)), n_in, n_out)
+
+    def moved(at: tuple[int, int], ep) -> Diagram:
+        changed = [list(edge) for edge in edges]
+        changed[at[0]][at[1]] = ep
+        return made(edges=changed)
+
+    out = [made(n_in=d.n_in + rng.choice((-1, 1))), made(n_out=d.n_out + rng.choice((-1, 1)))]
+    if edges:
+        k = rng.randrange(len(edges))
+        out.append(made(edges=edges[:k] + edges[k + 1 :]))
+        out.append(moved(rng.choice(ends), edges[rng.randrange(len(edges))][rng.randrange(2)]))
+        out.append(made(edges=edges + [edges[rng.randrange(len(edges))]]))
+    if ports:
+        e, s = at = rng.choice(ports)
+        node, port = edges[e][s]
+        out.append(moved(at, NodePort(node, rng.choice((-1, nodes[node].degree)))))
+        out.append(moved(at, NodePort(rng.choice((-1, len(nodes))), port)))
+    if sides:
+        e, s = at = rng.choice(sides)
+        side, pos = edges[e][s]
+        other = rng.choice([name for name in ("in", "out", "up", "") if name != side])
+        width = d.n_in if side == "in" else d.n_out
+        out.append(moved(at, BoundaryPort(other, pos)))
+        out.append(moved(at, BoundaryPort(side, rng.choice((-1, width)))))
+    # A star given a leg: left dangling, wired in a self-loop (so every
+    # slot is filled), or of negative degree (so it still has no slot).
+    nid = rng.choice(stars) if stars else len(nodes)
+    nodes = nodes + [Node(kind=STAR, degree=0)] * (not stars)
+    for degree in (1, 2, -1):
+        grown = nodes[:nid] + [Node(kind=STAR, degree=degree)] + nodes[nid + 1 :]
+        loop = [[NodePort(nid, 0), NodePort(nid, 1)]] * (degree == 2)
+        out.append(made(edges=edges + loop, nodes=grown))
+    return out
+
+
+class TestShapeCheck:
+    """The compile checks a diagram's shape inline and validates only a
+    faulty one, so it must raise InvalidDiagram exactly when ``validate``
+    lists problems, with the message built from that list."""
+
+    @staticmethod
+    def agrees(d: Diagram) -> None:
+        problems = d.validate()
+        if not problems:
+            evaluate(d)
+            return
+        shown = "; ".join(str(p) for p in problems[:3])
+        with pytest.raises(InvalidDiagram) as caught:
+            evaluate(d)
+        assert str(caught.value) == f"{len(problems)} problem(s), first: {shown}"
+
+    def test_one_diagram_per_violation_code(self) -> None:
+        z2, star = Node(kind=Z, degree=2), Node(kind=STAR, degree=0)
+        ins, outs = BoundaryPort("in", 0), BoundaryPort("out", 0)
+        cases = {
+            "UnknownNode": ((), [(NodePort(-1, 0), ins), (NodePort(0, 0), outs)], 1, 1),
+            "BadPort": ((z2,), [(NodePort(0, 2), outs), (NodePort(0, -1), NodePort(0, 0))], 0, 1),
+            "BadBoundary": ((), [(ins, BoundaryPort("up", 0)), (ins._replace(pos=1), outs)], 1, 1),
+            "DuplicatePort": ((z2,), [(NodePort(0, 0),) * 2, (NodePort(0, 1), outs)], 0, 1),
+            "MissingPort": ((z2,), [(NodePort(0, 1), outs)], 0, 1),
+            "StarWithLegs": ((star._replace(degree=-2),), [], 0, 0),
+            "BoundaryDegree": ((), [(ins, outs), (ins, BoundaryPort("out", 1))], 2, 2),
+        }
+        for code, (nodes, edges, n_in, n_out) in cases.items():
+            d = Diagram(nodes, tuple(edges), n_in, n_out)
+            assert code in [p.code for p in d.validate()]
+            self.agrees(d)
+        # Negative degrees and widths pass validate when nothing reads them.
+        self.agrees(Diagram((Node(kind=Z, degree=-1), star), (), -1, 0))
+
+    def test_mutated_random_diagrams(self) -> None:
+        rng = random.Random(19)
+        for _ in range(150):
+            for d in shape_mutations(random_diagram(rng), rng):
+                self.agrees(d)
+
+    def test_mutated_reduction_diagrams(self) -> None:
+        rng = random.Random(23)
+        inst = two_variable_instance()
+        pair = build_state_eq(inst)
+        bases = [pair.d1, pair.d2, build_contains_entry(inst, DyadicK(3, 2))]
+        bases += [build_circuit_extraction(inst.psi, inst.y_vars + inst.x_vars)]
+        bases += [seeded_counting_state(7, 4, 6)[0]]
+        for base in bases:
+            for _ in range(4):
+                for d in shape_mutations(base, rng):
+                    self.agrees(d)
 
 
 class TestApplyBasis:
