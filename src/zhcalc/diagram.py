@@ -16,7 +16,9 @@ tuples, so building, hashing and comparing them runs in C. One
 consequence: each compares equal to the plain tuple of its fields, so
 ``NodePort(node=0, port=1) == (0, 1)``. The builder keeps its internal
 legs as such plain pairs and makes ``NodePort``s only for the handles it
-returns and the diagram it finishes.
+returns and the diagram it finishes. A finished diagram shares the
+``Node`` objects of the gadgets spliced into it; only a node whose
+degree the builder set gets a new one.
 """
 
 from __future__ import annotations
@@ -441,20 +443,32 @@ class DiagramBuilder:
     returns the handle, ``connect`` joins two handles, ``splice`` copies
     in a whole diagram, and ``finish`` wires the remaining handles to the
     boundary in the given order. Every allocated leg must end up used
-    exactly once, and a caller-given leg never allocated is refused.
-    Legs inside the builder are plain (node, port) pairs, which hash and
+    exactly once, and a caller-given leg never allocated is refused, as
+    is a gadget wire end that is not one of the gadget's ports. Legs
+    inside the builder are plain (node, port) pairs, which hash and
     compare like the ``NodePort`` handles.
+
+    So the set of used legs only ever holds allocated legs, and
+    ``finish`` knows every leg is wired when that set is as large as
+    the degrees' sum; it scans the ports only to name the first dangling
+    one. The finished diagram keeps each spliced gadget's ``Node``
+    objects; a node made by ``node``, or one that ``leg`` grew, gets a
+    new ``Node``, as does a gadget node listed as a plain tuple.
     """
 
     def __init__(self) -> None:
         self._kinds: list[GeneratorKind] = []
         self._degrees: list[int] = []
+        # Each spliced gadget's own nodes, shared; None for a node whose
+        # degree ``leg`` sets, which finish makes anew.
+        self._nodes: list[Node | None] = []
         self._edges: list[tuple[tuple[int, int], tuple[int, int]]] = []
         self._used: set[tuple[int, int]] = set()
 
     def node(self, kind: GeneratorKind) -> int:
         self._kinds.append(kind)
         self._degrees.append(0)
+        self._nodes.append(None)
         return len(self._kinds) - 1
 
     def leg(self, node_id: int) -> NodePort:
@@ -464,6 +478,7 @@ class DiagramBuilder:
             raise ValueError("star is a scalar; it has no legs")
         port = self._degrees[node_id]
         self._degrees[node_id] += 1
+        self._nodes[node_id] = None
         return NodePort(node_id, port)
 
     def _allocated(self, ep: NodePort) -> None:
@@ -498,11 +513,17 @@ class DiagramBuilder:
         base = len(self._kinds)
         self._kinds += map(itemgetter(0), gadget.nodes)
         self._degrees += map(itemgetter(1), gadget.nodes)
-        used, edges = self._used, self._edges
+        self._nodes += gadget.nodes
+        used, edges, degrees = self._used, self._edges, self._degrees
+        size = len(gadget.nodes)
+        bad = "gadget wire end {} is not a port of the gadget"
         outputs: list = [None] * gadget.n_out
         for a, b in gadget.edges:
             if type(a) is NodePort:
-                near = (a.node + base, a.port)
+                node, port = a
+                if not (0 <= node < size and 0 <= port < degrees[node + base]):
+                    raise ValueError(bad.format(a))
+                near = (node + base, port)
             else:
                 near = inputs[a.pos] if a.side == "in" else None
             if type(b) is not NodePort:
@@ -510,7 +531,10 @@ class DiagramBuilder:
                     raise ValueError("a gadget wire joins two inputs or two outputs")
                 outputs[b.pos] = NodePort(*near)
                 continue
-            far = (b.node + base, b.port)
+            node, port = b
+            if not (0 <= node < size and 0 <= port < degrees[node + base]):
+                raise ValueError(bad.format(b))
+            far = (node + base, port)
             if near in used or far in used or near == far:
                 self.connect(NodePort(*near), NodePort(*far))  # raises its error
             used.add(near)
@@ -525,7 +549,7 @@ class DiagramBuilder:
         inputs: list[NodePort] = (),
         outputs: list[NodePort] = (),
     ) -> Diagram:
-        used = self._used
+        used, degrees = self._used, self._degrees
         ends: list[tuple[Endpoint, NodePort]] = []
         for side, stubs in (("in", inputs), ("out", outputs)):
             for pos, stub in enumerate(stubs):
@@ -533,14 +557,26 @@ class DiagramBuilder:
                 if stub in used:
                     raise ValueError(f"leg {stub} is already connected")
                 used.add(stub)
-                ends.append((BoundaryPort(side, pos), stub))
-        for node_id, degree in enumerate(self._degrees):
-            for port in range(degree):
-                if (node_id, port) not in used:
-                    raise ValueError(f"port {port} of node {node_id} was never connected")
-        edges = [(NodePort(*a), NodePort(*b)) for a, b in self._edges]
+                ends.append((BoundaryPort(side, pos), NodePort(*stub)))
+        # used holds only allocated legs, each once, so it holds them all
+        # exactly when it is as large as their count. Only a shortfall is
+        # worth a scan, for the first dangling port to name.
+        if len(used) != sum(degrees):
+            for node_id, degree in enumerate(degrees):
+                for port in range(degree):
+                    if (node_id, port) not in used:
+                        raise ValueError(f"port {port} of node {node_id} was never connected")
+        # A spliced gadget's Node is shared as it is; a node made here, or
+        # one a gadget listed as a plain tuple, gets a new one. tuple.__new__
+        # makes a named tuple without its Python-level constructor.
+        new = tuple.__new__
+        nodes = [
+            node if type(node) is Node else new(Node, pair)
+            for node, pair in zip(self._nodes, zip(self._kinds, degrees))
+        ]
+        edges = [(new(NodePort, a), new(NodePort, b)) for a, b in self._edges]
         return Diagram(
-            nodes=tuple(map(Node, self._kinds, self._degrees)),
+            nodes=tuple(nodes),
             edges=tuple(edges + ends),
             n_in=len(inputs),
             n_out=len(outputs),

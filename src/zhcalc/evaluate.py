@@ -357,6 +357,13 @@ def _template(
     return _Factor(slots, {k: v for k, v in table.items() if v != (0, 0)}, e)
 
 
+# Each kind's value as a legless node (a white not's is zero: it has no
+# support), read once for every compile's scalar.
+_LEGLESS_VALUES = [
+    (kind, dict(_generator_support(kind, 0)).get((), ZERO)) for kind in GeneratorKind
+]
+
+
 def _power(a: int, b: int, n: int) -> tuple[int, int]:
     """(a + b*sqrt(2))**n by repeated squaring, as an (a, b) pair."""
     ra, rb = 1, 0
@@ -605,16 +612,16 @@ def _plan(d: Diagram) -> _Plan:
         summed = tuple([slot for i, slot in slot_of.items() if i in lone])
         blocks.append(((summed, *key), tuple([i for i in slot_of if i not in lone])))
 
-    # The scalar no pin can change: each legless kind's value to its
-    # count, sqrt(2) per fused dark generator, and 2 per traced loop (a
-    # fused index that no node and no boundary position reads); zero if
-    # the fusion closed an odd NOT cycle.
+    # The scalar no pin can change: each legless kind's value (read once,
+    # at import) to its count, sqrt(2) per fused dark generator, and 2 per
+    # traced loop (a fused index that no node and no boundary position
+    # reads); zero if the fusion closed an odd NOT cycle.
     loops = len({i for i, _ in index_of} - readers.keys() - boundary)
     powers = [(SQRT2, root2s), (TWO, loops)]
-    for kind in GeneratorKind:
-        if kind in legless:
-            value = dict(_generator_support(kind, 0)).get((), ZERO)
-            powers.append((value, legless.count(kind)))
+    for kind, value in _LEGLESS_VALUES:
+        count = legless.count(kind)
+        if count:
+            powers.append((value, count))
     sa, sb, se = 1 - odd, 0, 0
     for value, count in powers:
         fa, fb = _power(value.a, value.b, count)

@@ -674,3 +674,132 @@ class TestBuilderErrors:
         assert _message(b.finish, inputs=[stub], outputs=[np(0, 1)]) == (
             "leg NodePort(node=0, port=1) was never allocated by this builder"
         )
+
+    def test_gadget_wire_end_off_the_gadget(self) -> None:
+        # Node 1 is not the gadget's: spliced as it was, its wire would
+        # reach the next node this builder makes.
+        reaching = Diagram(
+            nodes=(Node(kind=Z, degree=1),), edges=((np(0, 0), np(1, 0)),), n_in=0, n_out=0
+        )
+        b = DiagramBuilder()
+        assert _message(b.splice, reaching) == (
+            "gadget wire end NodePort(node=1, port=0) is not a port of the gadget"
+        )
+        behind = Diagram(
+            nodes=(Node(kind=Z, degree=1),), edges=((np(-1, 0), outb(0)),), n_in=0, n_out=1
+        )
+        b = DiagramBuilder()
+        b.leg(b.node(Z))
+        assert _message(b.splice, behind) == (
+            "gadget wire end NodePort(node=-1, port=0) is not a port of the gadget"
+        )
+
+    def test_gadget_wire_end_past_the_degree(self) -> None:
+        b = DiagramBuilder()
+        b.star()
+        for port in (1, 2, -1):
+            past = Diagram(
+                nodes=(Node(kind=Z, degree=1),), edges=((np(0, port), outb(0)),), n_in=0, n_out=1
+            )
+            assert _message(b.splice, past) == (
+                f"gadget wire end NodePort(node=0, port={port}) is not a port of the gadget"
+            )
+        inner = Diagram(
+            nodes=(Node(kind=Z, degree=1), Node(kind=X, degree=1)),
+            edges=((np(0, 0), np(1, 1)),),
+            n_in=0,
+            n_out=0,
+        )
+        assert _message(b.splice, inner) == (
+            "gadget wire end NodePort(node=1, port=1) is not a port of the gadget"
+        )
+
+
+class TestFinish:
+    """``finish`` shares spliced gadgets' nodes, makes the rest, and
+    checks that every leg is wired by counting them."""
+
+    def test_names_the_lowest_dangling_port(self) -> None:
+        open_ends = Diagram(
+            nodes=(Node(kind=X, degree=1), Node(kind=Z, degree=4)),
+            edges=((np(1, 1), outb(0)), (np(0, 0), np(1, 3))),
+            n_in=0,
+            n_out=1,
+        )
+        # Spliced nodes only: ports 0 and 2 of node 1 dangle.
+        b = DiagramBuilder()
+        out = b.splice(open_ends)[0]
+        assert _message(b.finish, outputs=[out]) == "port 0 of node 1 was never connected"
+        # A made node after them dangles too; the spliced port is lower.
+        b = DiagramBuilder()
+        out = b.splice(open_ends)[0]
+        b.leg(b.node(Z))
+        assert _message(b.finish, outputs=[out]) == "port 0 of node 1 was never connected"
+        # A made node before them, with its ports 1 and 2 dangling.
+        b = DiagramBuilder()
+        z = b.node(Z)
+        first = b.leg(z)
+        b.leg(z)
+        b.leg(z)
+        out = b.splice(open_ends)[0]
+        assert _message(b.finish, inputs=[first], outputs=[out]) == (
+            "port 1 of node 0 was never connected"
+        )
+
+    def test_a_leg_on_a_spliced_node(self) -> None:
+        for wired in (False, True):
+            b = DiagramBuilder()
+            b.star()
+            out = b.splice(generator(Z, 0, 1))[0]
+            grown = b.leg(1)
+            assert grown == np(1, 1)
+            if not wired:
+                assert _message(b.finish, outputs=[out]) == (
+                    "port 1 of node 1 was never connected"
+                )
+        d = b.finish(outputs=[out, grown])
+        assert d.nodes == (Node(kind=STAR, degree=0), Node(kind=Z, degree=2))
+        assert d.validate() == []
+
+    def test_finished_nodes_and_ends_are_named_tuples(self) -> None:
+        plain = Diagram(
+            nodes=((X, 1), (Z, 3)),
+            edges=((inb(0), np(1, 0)), (np(1, 1), np(0, 0)), (np(1, 2), outb(0))),
+            n_in=1,
+            n_out=1,
+        )
+        hbox = generator(GeneratorKind.H_BOX, 1, 1)
+        b = DiagramBuilder()
+        z = b.node(Z)
+        start = b.leg(z)
+        mid = b.splice(plain, [b.leg(z)])
+        out = b.splice(hbox, mid)
+        b.star()
+        d = b.finish(inputs=[start], outputs=out)
+        assert d.validate() == []
+        assert [type(node) for node in d.nodes] == [Node] * 5
+        assert d.nodes[1:3] == (Node(kind=X, degree=1), Node(kind=Z, degree=3))
+        # The H box is the gadget's own node, not a copy.
+        assert d.nodes[3] is hbox.nodes[0]
+        assert {type(end) for edge in d.edges for end in edge} == {NodePort, BoundaryPort}
+
+    def test_plain_stubs_become_node_ports(self) -> None:
+        b = DiagramBuilder()
+        z = b.node(Z)
+        b.leg(z)
+        d = b.finish(outputs=[(0, 0)])
+        assert d.edges == ((np(0, 0), outb(0)),)
+        assert type(d.edges[0][0]) is NodePort
+
+    def test_a_negative_degree_is_no_dangling_port(self) -> None:
+        # The degrees' sum falls short of the used legs' count here, so
+        # the scan runs, finds no dangling port, and finish goes on.
+        odd = Diagram(
+            nodes=(Node(kind=Z, degree=-1), Node(kind=X, degree=1)),
+            edges=((np(1, 0), outb(0)),),
+            n_in=0,
+            n_out=1,
+        )
+        b = DiagramBuilder()
+        d = b.finish(outputs=b.splice(odd))
+        assert d == odd

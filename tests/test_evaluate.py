@@ -748,6 +748,21 @@ class TestCompiledPlans:
             assert seen == [d]
             seen.clear()
 
+    def test_built_diagrams_compile_as_their_json_round_trip(self) -> None:
+        # The builder shares spliced gadgets' nodes and makes the rest; a
+        # parsed copy has only fresh ones. Both must compile alike.
+        inst = random_sat_compare(random.Random(20))
+        pair = build_state_eq(inst)
+        built = [seeded_counting_state(seed, 6, 12)[0] for seed in (7, 8)]
+        built += [pair.d1, pair.d2, build_contains_entry(inst, DyadicK(3, 2))]
+        built += [build_circuit_extraction(inst.rho, inst.x_vars + inst.z_vars)]
+        for d in built:
+            assert {type(node) for node in d.nodes} == {Node}
+            assert {type(end) for edge in d.edges for end in edge} <= {NodePort, BoundaryPort}
+            copy = Diagram.from_json(json.loads(json.dumps(d.to_json())))
+            assert copy == d
+            assert evaluate_module._plan(d) == evaluate_module._plan(copy)
+
     def test_cached_plan_keeps_no_diagram_alive(self) -> None:
         d = generator(H, 1, 2)
         evaluate(d)
