@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from zhcalc.formula import (
     And,
-    CompareInstance,
     Const,
     Formula,
     FormulaError,
@@ -92,18 +91,6 @@ def concat_formulae(
         And(And(And(all_x, psi), Not(Var(z))), Var(zp)),
     )
     return ConcatResult(rho, xs + ys + (z, zp), len(ys) + 1)
-
-
-def concat_compare(i1: CompareInstance, i2: CompareInstance) -> CompareInstance:
-    """Combine two comparison instances into one that holds iff both do.
-
-    Counts cannot cancel across the combination: the second instance's
-    counts occupy the low low_bits of the combined counts and are
-    strictly below the shift applied to the first instance's counts.
-    """
-    left = concat_formulae(i1.phi, i1.x_vars, i2.phi, i2.x_vars)
-    right = concat_formulae(i1.psi, i1.y_vars, i2.psi, i2.y_vars)
-    return CompareInstance(left.formula, left.variables, right.formula, right.variables)
 
 
 def formula_with_count(variables: tuple[str, ...] | list[str], k: int) -> Formula:

@@ -524,11 +524,17 @@ class DiagramBuilder:
                 if not (0 <= node < size and 0 <= port < degrees[node + base]):
                     raise ValueError(bad.format(a))
                 near = (node + base, port)
+            elif a.side == "in":
+                if not 0 <= a.pos < gadget.n_in:
+                    raise ValueError(bad.format(a))
+                near = inputs[a.pos]
             else:
-                near = inputs[a.pos] if a.side == "in" else None
+                near = None
             if type(b) is not NodePort:
                 if near is None or b.side == "in":
                     raise ValueError("a gadget wire joins two inputs or two outputs")
+                if b.side != "out" or not 0 <= b.pos < gadget.n_out:
+                    raise ValueError(bad.format(b))
                 outputs[b.pos] = NodePort(*near)
                 continue
             node, port = b

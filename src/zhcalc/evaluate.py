@@ -24,10 +24,13 @@ not depend on pins. The last plan is kept, holding its diagram by weak
 reference, and reused when the same object comes back, as when a
 builder's self-check pins a diagram that its solver then evaluates open.
 
-Inside the engine a factor's table holds plain (a, b) int pairs under one
-exponent e per factor, each read as (a + b*sqrt(2)) / 2**e, so products
-and sums are int arithmetic; factors without wires are multiplied into
-one scalar instead. That scalar starts from the plan's, which folds in
+Inside the engine indices are numbered densely and tables are packed:
+an entry is one int key, whose bit i is index i's bit, and one int v,
+read as v * sqrt(2)**r / 2**e under one exponent e and one sqrt(2)
+parity r per table, so a join buckets and merges keys by masks and
+multiplies ints; two odd parities make an even one, a power of two
+lower. Factors without indices are multiplied into one scalar
+instead. That scalar starts from the plan's, which folds in
 what no pin can change: legless nodes and two-leg dark wires never
 become factors, and the compile raises each legless kind's value and
 sqrt(2) to their counts, times 2 per traced loop, or zero for an odd
@@ -40,9 +43,10 @@ closed index that one block alone reads is summed inside its table, so
 it never reaches the elimination loop. A block's table depends only on
 its pattern (kinds, (slot, parity) legs, summed slots), so the process
 keeps one table per pattern of nodes of at most 8 legs, up to 2048
-tables, and pins slice it; a wider node's table is built per call, only
-on its pinned bits. Either way a generator's support is read once, as
-all of one generator's values share one exponent.
+tables keyed by slot, spread onto each call's index bits and sliced by
+its pins; a wider node's table is built per call, only on its pinned
+bits. Either way a generator's support is read once, and refused if its
+values do not share one exponent and one sqrt(2) parity.
 """
 
 from __future__ import annotations
@@ -50,9 +54,8 @@ from __future__ import annotations
 import heapq
 import weakref
 from dataclasses import dataclass
-from itertools import product
-from operator import itemgetter
-from typing import Iterator, Sequence, Union
+from itertools import compress, product
+from typing import Iterable, Iterator, Sequence, Union
 
 from .diagram import ArityMismatch, Diagram, GeneratorKind, NodePort
 from .scalar import ExactScalar, ONE, SQRT2, TWO, HALF, ZERO, sqrt2_pow
@@ -271,13 +274,25 @@ def interpret_generator(kind: GeneratorKind, m: int, n: int) -> ExactMatrix:
 
 @dataclass
 class _Factor:
-    """A sparse tensor whose entry ``table[key] = (a, b)`` is the value
-    (a + b*sqrt(2)) / 2**e. One exponent serves the whole table, so the
-    engine works on plain ints and never canonicalizes."""
+    """A sparse tensor over the indices set in ``mask``: bit i of a key is
+    index i's bit, and ``table[key] = v`` is the value v * sqrt(2)**r / 2**e.
+    All values of one generator share one exponent and one sqrt(2) parity,
+    so one (e, r) pair serves the whole table, the engine works on plain
+    ints and it never canonicalizes."""
 
-    wires: tuple[int, ...]
-    table: dict[tuple[int, ...], tuple[int, int]]
+    mask: int
+    table: dict[int, int]
     e: int = 0
+    r: int = 0
+
+    @property
+    def wires(self) -> list[int]:
+        """The indices in ``mask``, lowest first."""
+        out, mask = [], self.mask
+        while mask:
+            out.append((mask & -mask).bit_length() - 1)
+            mask &= mask - 1
+        return out
 
 
 # Blocks of nodes with at most this many legs keep their tables for the
@@ -286,42 +301,54 @@ class _Factor:
 # generator's table, up to 2**22 entries, is built per call.
 _CACHED_LEGS = 8
 _MAX_TEMPLATES = 2048
-_TEMPLATES: dict[tuple, tuple[dict, int]] = {}
-_UNIT = _Factor(wires=(), table={(): (1, 0)})
+_TEMPLATES: dict[tuple, tuple[list[tuple[tuple[int, ...], int]], int, int]] = {}
+_UNIT = _Factor(mask=0, table={0: 1})
 
 
 def _node_factor(
-    key: tuple, wires: tuple[int, ...], fixed: dict[int, int] | None = None
+    key: tuple, weights: tuple[int, ...], pinmask: int, pinval: int
 ) -> _Factor:
-    """A block's factor over the indices ``wires``.
+    """A block's factor over the indices whose bits are ``weights``.
 
     A block is one factor node, or two that alone read some closed index.
     Its table depends only on its pattern ``key`` = (summed slots,
     (kind, legs), ...), where each leg is a (slot, parity) pair reading
     the bit of the block's slot-th distinct index XOR the parity; the
-    summed slots are summed inside the table, and ``wires`` are the other
-    slots' indices in slot order. Tables of blocks whose nodes have at
-    most _CACHED_LEGS legs are kept in ``_TEMPLATES``; a wider node's is
-    built per call, only on the bits that ``fixed`` pins its indices to.
+    summed slots are summed inside the table, and ``weights`` are 1 << i
+    for the other slots' indices i in slot order. The table is kept as
+    rows of (slot bits, value) and spread onto those weights per call.
+    Tables of blocks whose nodes have at most _CACHED_LEGS legs are kept
+    in ``_TEMPLATES``; a wider node's is built per call, only on the bits
+    that ``pinval`` pins its indices in ``pinmask`` to. Either way the
+    factor is sliced to the pinned bits, which leave its mask.
     """
     template = _TEMPLATES.get(key)
     if template is None:
         summed, *members = key
         kept = all(len(legs) <= _CACHED_LEGS for _, legs in members)
         pins = {}
-        if fixed and not kept:
-            free = [s for s in range(len(summed) + len(wires)) if s not in summed]
-            pins = {slot: fixed[i] for slot, i in zip(free, wires) if i in fixed}
+        if pinmask and not kept:
+            free = [s for s in range(len(summed) + len(weights)) if s not in summed]
+            pins = {s: int(pinval & w != 0) for s, w in zip(free, weights) if pinmask & w}
         joined, *rest = [_template(kind, legs, pins) for kind, legs in members]
         if summed and not rest:
             joined, rest = _UNIT, [joined]
         for factor in rest:
-            joined = _join(joined, factor, set(summed))
-        template = joined.table, joined.e
+            joined = _join(joined, factor, summed)
+        slots = joined.wires
+        rows = [(tuple([k >> s & 1 for s in slots]), v) for k, v in joined.table.items()]
+        template = rows, joined.e, joined.r
         if kept and len(_TEMPLATES) < _MAX_TEMPLATES:
             _TEMPLATES[key] = template
-    table, e = template
-    return _Factor(wires, table, e)
+    rows, e, r = template
+    table = {sum(compress(weights, bits)): v for bits, v in rows}
+    mask = sum(weights)
+    cut = mask & pinmask
+    if cut:
+        want = pinval & cut
+        table = {k ^ want: v for k, v in table.items() if k & cut == want}
+        mask ^= cut
+    return _Factor(mask, table, e, r)
 
 
 def _template(
@@ -329,32 +356,38 @@ def _template(
 ) -> _Factor:
     """Project a generator's support onto the distinct slots its legs read.
 
-    Each leg's bit is its slot's bit XOR its parity. When two legs share a
-    slot (a self-loop, or legs fused into one index), support entries
-    that disagree on that slot vanish, and the survivors are keyed by one
-    bit per distinct slot, in the order the legs first read them; so do
-    those that disagree with the bit ``pins`` holds for a slot. The support
-    is read once: all values of one generator share one exponent.
+    Each leg's bit is its slot's bit XOR its parity, and bit s of a key is
+    slot s's bit. When two legs share a slot (a self-loop, or legs fused
+    into one index), support entries that disagree on that slot vanish;
+    so do those that disagree with the bit ``pins`` holds for a slot. The
+    support is read once: every value must have one exponent and one
+    sqrt(2) parity, each value a/2**e or b*sqrt(2)/2**e, or this raises.
     """
-    slots = tuple(dict.fromkeys(slot for slot, _ in pattern))
-    local = [(slots.index(slot), parity) for slot, parity in pattern]
-    start = [pins.get(slot) for slot in slots]
-    e = 0
-    table: dict[tuple[int, ...], tuple[int, int]] = {}
+    start, seen0 = sum(b << s for s, b in pins.items()), sum(1 << s for s in pins)
+    legs = [(1 << slot, parity) for slot, parity in pattern]
+    table: dict[int, int] = {}
+    last = er = None
     for bits, value in _generator_support(kind, len(pattern)):
-        e = value.e
-        key = start.copy()
-        for (k, parity), bit in zip(local, bits):
-            bit ^= parity
-            if key[k] is None:
-                key[k] = bit
-            elif key[k] != bit:
+        if value is not last:
+            if value.a and value.b:
+                raise ValueError(f"{kind.value} value {value} has a rational and a sqrt(2) part")
+            if er not in (None, (value.e, int(value.b != 0))):
+                raise ValueError(f"{kind.value} values differ in exponent or sqrt(2) parity")
+            last, v, er = value, value.b or value.a, (value.e, int(value.b != 0))
+        key, seen = start, seen0
+        for (w, parity), bit in zip(legs, bits):
+            if bit ^ parity:
+                if seen & w and not key & w:
+                    break
+                key |= w
+            elif key & w:
                 break
+            seen |= w
         else:
-            at = tuple(key)
-            a, b = table.get(at, (0, 0))
-            table[at] = (a + value.a, b + value.b)
-    return _Factor(slots, {k: v for k, v in table.items() if v != (0, 0)}, e)
+            table[key] = table.get(key, 0) + v
+    e, r = er or (0, 0)
+    mask = sum(1 << slot for slot in {slot for slot, _ in pattern})
+    return _Factor(mask, {k: v for k, v in table.items() if v}, e, r)
 
 
 # Each kind's value as a legless node (a white not's is zero: it has no
@@ -375,47 +408,34 @@ def _power(a: int, b: int, n: int) -> tuple[int, int]:
     return ra, rb
 
 
-def _picker(idx: list[int]):
-    """A function taking a key to the tuple of its entries at ``idx``."""
-    if len(idx) == 1:
-        i = idx[0]
-        return lambda key: (key[i],)
-    return itemgetter(*idx) if idx else lambda key: ()
-
-
-def _join(f1: _Factor, f2: _Factor, summed: set[int]) -> _Factor:
-    """Combine two factors, aligning on shared wires and summing out
+def _join(f1: _Factor, f2: _Factor, summed: Iterable[int]) -> _Factor:
+    """Combine two factors, aligning on shared indices and summing out
     ``summed``, which no third factor may hold. The engine's one kernel:
-    joined with the unit factor (no wires, table {(): 1}) a lone factor
-    sums out its self-loops, and joined with a one-entry table over some
-    fixed indices, summing them, it is sliced to their bits. Products
-    multiply (a, b) pairs and add the exponents; sums share the result's
-    exponent, so they are int adds."""
-    in_f2 = set(f2.wires)
-    shared = [w for w in f1.wires if w in in_f2]
-    keep1 = [i for i, w in enumerate(f1.wires) if w not in summed]
-    keep2 = [
-        i for i, w in enumerate(f2.wires) if w not in summed and w not in shared
-    ]
-    wires = tuple(f1.wires[i] for i in keep1) + tuple(f2.wires[i] for i in keep2)
-    proj1 = _picker([f1.wires.index(w) for w in shared])
-    proj2 = _picker([f2.wires.index(w) for w in shared])
-    pick1, pick2 = _picker(keep1), _picker(keep2)
-    buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], int, int]]] = {}
-    for key2, (a2, b2) in f2.table.items():
-        buckets.setdefault(proj2(key2), []).append((pick2(key2), a2, b2))
-    table: dict[tuple[int, ...], tuple[int, int]] = {}
-    for key1, (a1, b1) in f1.table.items():
-        proj, kept1 = proj1(key1), pick1(key1)
-        for kept2, a2, b2 in buckets.get(proj, ()):
-            # (a1 + b1*r)(a2 + b2*r) with r**2 == 2
-            a = a1 * a2 + 2 * b1 * b2
-            b = a1 * b2 + b1 * a2
-            new_key = kept1 + kept2
-            old = table.get(new_key)
-            table[new_key] = (a, b) if old is None else (old[0] + a, old[1] + b)
-    table = {k: v for k, v in table.items() if v != (0, 0)}
-    return _Factor(wires=wires, table=table, e=f1.e + f2.e)
+    joined with the unit factor (no indices, table {0: 1}) a lone factor
+    sums out its self-loops. Entries meet in buckets on their shared bits,
+    a merged key is the OR of the two kept to the indices left, and
+    values are int products under e1 + e2 and sqrt(2)**(r1 + r2); when
+    both parities are odd, sqrt(2)**2 = 2 lowers the exponent by one."""
+    t1, t2 = f1.table, f2.table
+    shared, keep = f1.mask & f2.mask, f1.mask | f2.mask
+    for i in summed:
+        keep &= ~(1 << i)
+    e, r = f1.e + f2.e, f1.r + f2.r
+    if r == 2:
+        e, r = e - 1, 0
+    if shared:
+        buckets: dict[int, list[tuple[int, int]]] = {}
+        for k2, v2 in t2.items():
+            buckets.setdefault(k2 & shared, []).append((k2, v2))
+    else:
+        buckets = {0: t2.items()}
+    table: dict[int, int] = {}
+    get = table.get
+    for k1, v1 in t1.items():
+        for k2, v2 in buckets.get(k1 & shared, ()):
+            k = (k1 | k2) & keep
+            table[k] = get(k, 0) + v1 * v2
+    return _Factor(keep, {k: v for k, v in table.items() if v}, e, r)
 
 
 def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
@@ -424,8 +444,8 @@ def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
     ``order`` picks the elimination schedule over fused indices. Both
     orders sum out first the index whose factors span the fewest
     indices; "greedy" breaks a tie by the lowest index and "sequential"
-    by the highest (each index is named by its lowest wire). Both give
-    the same matrix.
+    by the highest (indices are numbered in the order of their lowest
+    wires). Both give the same matrix.
     """
     if order not in ("greedy", "sequential"):
         raise ValueError(f"unknown contraction order {order!r}")
@@ -435,13 +455,14 @@ def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
 @dataclass(frozen=True)
 class _Plan:
     """What every contraction of one valid diagram shares, whatever it
-    pins. Each boundary position is an (index, parity) pair, reading the
+    pins. Indices are numbered densely in the order of their lowest
+    wires. Each boundary position is an (index, parity) pair, reading the
     bit of its fused index XOR the parity, and each block of factor
-    nodes is its table's key and the indices it keeps (see
-    ``_node_factor``). ``too_wide`` is the refusal a node with too many
-    enumerated legs earns, and ``scalar`` = (a, b, e) is the factor no
-    pin can change: legless nodes, fused two-leg dark generators and
-    traced loops, or zero for an odd cycle of NOT wires."""
+    nodes is its table's key and the bits 1 << i of the indices i it
+    keeps (see ``_node_factor``). ``too_wide`` is the refusal a node
+    with too many enumerated legs earns, and ``scalar`` = (a, b, e) is
+    the factor no pin can change: legless nodes, fused two-leg dark
+    generators and traced loops, or zero for an odd cycle of NOT wires."""
 
     too_wide: str | None
     in_wire: list[tuple[int, int]]
@@ -549,7 +570,10 @@ def _plan(d: Diagram) -> _Plan:
             else:
                 root[a], flip[a] = b, pa ^ pb
                 a, pa = b, pb
-    index_of = [find(w) for w in range(len(edges))]
+    # Indices are numbered densely in the order of their lowest wires: a
+    # class's lowest wire is its root, and the first of it that w meets.
+    number: dict[int, int] = {}
+    index_of = [(number.setdefault(i, len(number)), p) for i, p in map(find, range(len(edges)))]
 
     # A fused white not keeps one leg for its sign. Each factor's legs
     # are (index, parity) pairs; readers lists the factors reading each
@@ -610,13 +634,13 @@ def _plan(d: Diagram) -> _Plan:
             pattern = tuple([(slot_of.setdefault(i, len(slot_of)), p) for i, p in legs])
             key.append((kind, pattern))
         summed = tuple([slot for i, slot in slot_of.items() if i in lone])
-        blocks.append(((summed, *key), tuple([i for i in slot_of if i not in lone])))
+        blocks.append(((summed, *key), tuple([1 << i for i in slot_of if i not in lone])))
 
     # The scalar no pin can change: each legless kind's value (read once,
     # at import) to its count, sqrt(2) per fused dark generator, and 2 per
     # traced loop (a fused index that no node and no boundary position
     # reads); zero if the fusion closed an odd NOT cycle.
-    loops = len({i for i, _ in index_of} - readers.keys() - boundary)
+    loops = len(number) - len(readers.keys() | boundary)
     powers = [(SQRT2, root2s), (TWO, loops)]
     for kind, value in _LEGLESS_VALUES:
         count = legless.count(kind)
@@ -675,15 +699,12 @@ def _contract(
 
     # A block's table on a fixed index is sliced to its bit, and a block
     # with no index left is a wireless factor, which enters the scalar.
+    pinmask, pinval = sum(1 << i for i in fixed), sum(b << i for i, b in fixed.items())
     factors: dict[int, _Factor] = {}
     wireless: list[_Factor] = []
-    for key, wires in plan.blocks:
-        factor = _node_factor(key, wires, fixed)
-        if not fixed.keys().isdisjoint(wires):
-            pins = tuple(i for i in wires if i in fixed)
-            pin = _Factor(pins, {tuple(fixed[i] for i in pins): (1, 0)})
-            factor = _join(factor, pin, set(pins))
-        if factor.wires:
+    for key, weights in plan.blocks:
+        factor = _node_factor(key, weights, pinmask, pinval)
+        if factor.mask:
             factors[len(factors)] = factor
         else:
             wireless.append(factor)
@@ -697,12 +718,15 @@ def _contract(
     # spanned by its factors; "greedy" breaks a tie by the lowest index,
     # "sequential" by the highest), join its owners from the first, and
     # sum it out at the last join; a lone owner sums it out against the
-    # unit factor (no wires, table {(): 1}). A result with no wires left
+    # unit factor (no indices, table {0: 1}). A result with no index left
     # is kept apart too.
     tie = 1 if order == "greedy" else -1
 
     def cost(i: int) -> int:
-        return len({j for fid in holders[i] for j in factors[fid].wires})
+        spanned = 0
+        for fid in holders[i]:
+            spanned |= factors[fid].mask
+        return spanned.bit_count()
 
     heap = [(cost(i), tie * i) for i in holders if i not in open_indices]
     heapq.heapify(heap)
@@ -719,8 +743,8 @@ def _contract(
         if not rest:
             joined, rest = _UNIT, [joined]
         for k, factor in enumerate(rest, 1):
-            joined = _join(joined, factor, {i} if k == len(rest) else set())
-        if not joined.wires:
+            joined = _join(joined, factor, (i,) if k == len(rest) else ())
+        if not joined.mask:
             wireless.append(joined)
             continue
         for j in joined.wires:
@@ -731,27 +755,29 @@ def _contract(
 
     # Only open indices remain. Fold the surviving factors into one
     # sparse table, then expand the open indices no factor holds. Values
-    # become ExactScalar only here, times the plan's scalar and the
-    # wireless factors. Each boundary bit is its index's bit XOR its
+    # become ExactScalar only here, times the plan's scalar, the wireless
+    # factors and sqrt(2)**r. Each boundary bit is its index's bit XOR its
     # parity, so each (key, free bits) pair lands on its own entry; an
     # open wire on a fixed index reads the fixed bit.
     combined, *rest = [factors[fid] for fid in sorted(factors)] or [_UNIT]
     for factor in rest:
-        combined = _join(combined, factor, set())
-    free = sorted(open_indices - set(combined.wires))
+        combined = _join(combined, factor, ())
+    free = [1 << i for i in sorted(open_indices) if not combined.mask >> i & 1]
     for factor in wireless:
-        fa, fb = factor.table.get((), (0, 0))  # an empty table is zero
-        sa, sb = sa * fa + 2 * sb * fb, sa * fb + sb * fa
+        v = factor.table.get(0, 0)  # an empty table is zero
+        sa, sb = (2 * sb * v, sa * v) if factor.r else (sa * v, sb * v)
         se += factor.e
+    if combined.r:
+        sa, sb = 2 * sb, sa
 
     entries: dict[tuple[str, str], ExactScalar] = {}
-    for key, (a, b) in combined.table.items() if sa or sb else ():
-        value = ExactScalar(a * sa + 2 * b * sb, a * sb + b * sa, combined.e + se)
-        base = fixed | dict(zip(combined.wires, key))
+    for key, v in combined.table.items() if sa or sb else ():
+        value = ExactScalar(v * sa, v * sb, combined.e + se)
+        key |= pinval
         for fill in product((0, 1), repeat=len(free)):
-            assignment = base | dict(zip(free, fill))
-            row = "".join(str(assignment[i] ^ p) for i, p in out_wire)
-            col = "".join(str(assignment[i] ^ p) for i, p in in_wire)
+            full = key | sum(compress(free, fill))
+            row = "".join(["01"[full >> i & 1 ^ p] for i, p in out_wire])
+            col = "".join(["01"[full >> i & 1 ^ p] for i, p in in_wire])
             entries[(row, col)] = value
     return ExactMatrix(n_out=len(out_wire), n_in=len(in_wire), entries=entries)
 

@@ -370,25 +370,6 @@ def format_formula(phi: Formula) -> str:
 
 
 @dataclass(frozen=True)
-class CompareInstance:
-    """Two formulae whose model counts are compared over equal-width lists."""
-
-    phi: Formula
-    x_vars: tuple[str, ...]
-    psi: Formula
-    y_vars: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.x_vars) != len(self.y_vars):
-            raise ValueError("variable lists must have equal length")
-
-
-def compare_sharp_sat(inst: CompareInstance) -> bool:
-    """Whether both formulae have the same number of satisfying assignments."""
-    return count_sat(inst.phi, inst.x_vars) == count_sat(inst.psi, inst.y_vars)
-
-
-@dataclass(frozen=True)
 class SatCompareInstance:
     """Shared x-variables, psi over x+y, rho over x+z.
 

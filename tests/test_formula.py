@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from zhcalc.formula import (
     And,
-    CompareInstance,
     Const,
     Iff,
     Implies,
@@ -20,7 +19,6 @@ from zhcalc.formula import (
     UnassignedVariable,
     Var,
     assignments,
-    compare_sharp_sat,
     count_sat,
     eval_formula,
     format_formula,
@@ -183,15 +181,6 @@ def test_count_matches_truth_table(mask):
 def test_rename_vars():
     phi = And(x1, Or(y1, x1))
     assert rename_vars(phi, {"x1": "w9"}) == And(Var("w9"), Or(y1, Var("w9")))
-
-
-def test_compare_instance():
-    inst = CompareInstance(Or(x1, x2), ("x1", "x2"), And(y1, y2), ("y1", "y2"))
-    assert compare_sharp_sat(inst) is False
-    inst2 = CompareInstance(x1, ("x1", "x2"), Not(y1), ("y1", "y2"))
-    assert compare_sharp_sat(inst2) is True
-    with pytest.raises(ValueError):
-        CompareInstance(x1, ("x1",), y1, ("y1", "y2"))
 
 
 def test_sat_compare_instance_json():
