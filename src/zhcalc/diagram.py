@@ -42,6 +42,10 @@ class GeneratorKind(Enum):
     H_BOX = "H"
     STAR = "Star"
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with ==; Enum's own hashes the name in Python code.
+    __hash__ = object.__hash__
+
 
 class ArityMismatch(ValueError):
     """Sequential composition with incompatible boundary widths."""

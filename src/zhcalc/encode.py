@@ -63,6 +63,9 @@ class GateBlock(Enum):
     IMPLIES = "IMPLIES"
     IFF = "IFF"
 
+    # As GeneratorKind: an identity hash, which agrees with identity ==.
+    __hash__ = object.__hash__
+
 
 _TARGETS: dict[GateBlock, tuple[int, int, tuple[tuple[str, str], ...]]] = {
     GateBlock.TRUE: (1, 0, (("1", ""),)),

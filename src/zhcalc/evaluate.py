@@ -20,9 +20,18 @@ Each call splits into a compile and a run. The compile (``_plan``)
 checks the diagram's shape in its one walk over the edges, fuses its
 wires and lists each factor node's legs as (index, parity) pairs; it
 calls ``validate`` only to list a faulty diagram's problems, and it does
-not depend on pins. The last plan is kept, holding its diagram by weak
-reference, and reused when the same object comes back, as when a
-builder's self-check pins a diagram that its solver then evaluates open.
+not depend on pins. The order depends only on which indices each table
+holds, never on its entries, so a plan's first run of each order finds
+that order's elimination path on the blocks' index masks alone, with
+the boundary indices kept open (``_path``): a list of steps, each the
+slots of the factors to join, the index to sum and the result's slot.
+The first run also spreads the kept blocks' tables once, unpinned, for
+both orders' paths. Every run then slices those tables by its pins and
+replays the steps; a pin fixes only a boundary index, which no step
+sums, so the path holds for every pin. The last plan is kept, holding
+its diagram by weak reference, and reused when the same object comes
+back, as when a builder's self-check pins a diagram that its solver
+then evaluates open.
 
 Inside the engine indices are numbered densely and tables are packed:
 an entry is one int key, whose bit i is index i's bit, and one int v,
@@ -43,17 +52,17 @@ closed index that one block alone reads is summed inside its table, so
 it never reaches the elimination loop. A block's table depends only on
 its pattern (kinds, (slot, parity) legs, summed slots), so the process
 keeps one table per pattern of nodes of at most 8 legs, up to 2048
-tables keyed by slot, spread onto each call's index bits and sliced by
-its pins; a wider node's table is built per call, only on its pinned
-bits. Either way a generator's support is read once, and refused if its
-values do not share one exponent and one sqrt(2) parity.
+tables keyed by slot, spread once per plan onto its index bits; a wider
+node's table is built per run straight over its index bits, only on its
+pinned bits. Either way a generator's support is read once, and refused
+if its values do not share one exponent and one sqrt(2) parity.
 """
 
 from __future__ import annotations
 
 import heapq
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, product
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -288,21 +297,32 @@ class _Factor:
     @property
     def wires(self) -> list[int]:
         """The indices in ``mask``, lowest first."""
-        out, mask = [], self.mask
-        while mask:
-            out.append((mask & -mask).bit_length() - 1)
-            mask &= mask - 1
-        return out
+        return _indices(self.mask)
+
+
+def _indices(mask: int) -> list[int]:
+    """The indices whose bits are set in ``mask``, lowest first."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 # Blocks of nodes with at most this many legs keep their tables for the
 # process, up to _MAX_TEMPLATES tables of at most 256 entries (a pair
 # reads at most this many indices besides the one it shares). A wider
-# generator's table, up to 2**22 entries, is built per call.
+# generator's table, up to 2**22 entries, is built per run.
 _CACHED_LEGS = 8
 _MAX_TEMPLATES = 2048
 _TEMPLATES: dict[tuple, tuple[list[tuple[tuple[int, ...], int]], int, int]] = {}
 _UNIT = _Factor(mask=0, table={0: 1})
+
+
+def _wide(key: tuple) -> bool:
+    """Whether a block is a node of over _CACHED_LEGS legs, so that its
+    table is built per run instead of kept (a pair never is)."""
+    return len(key[-1][1]) > _CACHED_LEGS
 
 
 def _node_factor(
@@ -315,22 +335,30 @@ def _node_factor(
     (kind, legs), ...), where each leg is a (slot, parity) pair reading
     the bit of the block's slot-th distinct index XOR the parity; the
     summed slots are summed inside the table, and ``weights`` are 1 << i
-    for the other slots' indices i in slot order. The table is kept as
-    rows of (slot bits, value) and spread onto those weights per call.
-    Tables of blocks whose nodes have at most _CACHED_LEGS legs are kept
-    in ``_TEMPLATES``; a wider node's is built per call, only on the bits
-    that ``pinval`` pins its indices in ``pinmask`` to. Either way the
-    factor is sliced to the pinned bits, which leave its mask.
+    for the other slots' indices i in slot order. The tables of blocks
+    whose nodes have at most _CACHED_LEGS legs are kept in ``_TEMPLATES``
+    as rows of (slot bits, value) and spread onto ``weights``. A wider
+    node is a block of its own, built straight over its index bits and
+    only on the bits that ``pinval`` pins its indices in ``pinmask`` to.
+    Either way the factor is sliced to the pinned bits.
     """
     template = _TEMPLATES.get(key)
     if template is None:
         summed, *members = key
-        kept = all(len(legs) <= _CACHED_LEGS for _, legs in members)
-        pins = {}
-        if pinmask and not kept:
-            free = [s for s in range(len(summed) + len(weights)) if s not in summed]
-            pins = {s: int(pinval & w != 0) for s, w in zip(free, weights) if pinmask & w}
-        joined, *rest = [_template(kind, legs, pins) for kind, legs in members]
+        if _wide(key):
+            ((kind, legs),) = members
+            mask = sum(weights)
+            # A summed slot reads a spare bit above the block's indices.
+            spare = {s: 1 << (mask.bit_length() + j) for j, s in enumerate(summed)}
+            free, slots = iter(weights), range(len(spare) + len(weights))
+            bits = [spare[s] if s in spare else next(free) for s in slots]
+            factor = _template(kind, [(bits[s], p) for s, p in legs], pinmask & mask, pinval & mask)
+            if spare:
+                factor = _join(_UNIT, factor, [w.bit_length() - 1 for w in spare.values()])
+            return _slice(factor, pinmask, pinval)
+        joined, *rest = [
+            _template(kind, [(1 << s, p) for s, p in legs], 0, 0) for kind, legs in members
+        ]
         if summed and not rest:
             joined, rest = _UNIT, [joined]
         for factor in rest:
@@ -338,43 +366,49 @@ def _node_factor(
         slots = joined.wires
         rows = [(tuple([k >> s & 1 for s in slots]), v) for k, v in joined.table.items()]
         template = rows, joined.e, joined.r
-        if kept and len(_TEMPLATES) < _MAX_TEMPLATES:
+        if len(_TEMPLATES) < _MAX_TEMPLATES:
             _TEMPLATES[key] = template
     rows, e, r = template
     table = {sum(compress(weights, bits)): v for bits, v in rows}
-    mask = sum(weights)
-    cut = mask & pinmask
-    if cut:
-        want = pinval & cut
-        table = {k ^ want: v for k, v in table.items() if k & cut == want}
-        mask ^= cut
-    return _Factor(mask, table, e, r)
+    return _slice(_Factor(sum(weights), table, e, r), pinmask, pinval)
+
+
+def _slice(factor: _Factor, pinmask: int, pinval: int) -> _Factor:
+    """``factor`` with each of its indices in ``pinmask`` fixed to its bit
+    in ``pinval``: only the entries with those bits stay, and the fixed
+    indices leave its mask."""
+    cut = factor.mask & pinmask
+    if not cut:
+        return factor
+    want = pinval & cut
+    table = {k ^ want: v for k, v in factor.table.items() if k & cut == want}
+    return _Factor(factor.mask ^ cut, table, factor.e, factor.r)
 
 
 def _template(
-    kind: GeneratorKind, pattern: tuple[tuple[int, int], ...], pins: dict[int, int]
+    kind: GeneratorKind, legs: Sequence[tuple[int, int]], pinmask: int, pinval: int
 ) -> _Factor:
-    """Project a generator's support onto the distinct slots its legs read.
+    """Project a generator's support onto the distinct index bits its legs
+    read.
 
-    Each leg's bit is its slot's bit XOR its parity, and bit s of a key is
-    slot s's bit. When two legs share a slot (a self-loop, or legs fused
-    into one index), support entries that disagree on that slot vanish;
-    so do those that disagree with the bit ``pins`` holds for a slot. The
-    support is read once: every value must have one exponent and one
-    sqrt(2) parity, each value a/2**e or b*sqrt(2)/2**e, or this raises.
+    Each leg is a (bit, parity) pair: its bit is that bit of a key XOR the
+    parity. When two legs share a bit (a self-loop, or legs fused into one
+    index), support entries that disagree on it vanish; so do those that
+    disagree with ``pinval`` on a bit of ``pinmask``, which must lie among
+    the legs' bits. The support is read once: every value must have one
+    exponent and one sqrt(2) parity, each value a/2**e or b*sqrt(2)/2**e,
+    or this raises.
     """
-    start, seen0 = sum(b << s for s, b in pins.items()), sum(1 << s for s in pins)
-    legs = [(1 << slot, parity) for slot, parity in pattern]
     table: dict[int, int] = {}
     last = er = None
-    for bits, value in _generator_support(kind, len(pattern)):
+    for bits, value in _generator_support(kind, len(legs)):
         if value is not last:
             if value.a and value.b:
                 raise ValueError(f"{kind.value} value {value} has a rational and a sqrt(2) part")
             if er not in (None, (value.e, int(value.b != 0))):
                 raise ValueError(f"{kind.value} values differ in exponent or sqrt(2) parity")
             last, v, er = value, value.b or value.a, (value.e, int(value.b != 0))
-        key, seen = start, seen0
+        key, seen = pinval, pinmask
         for (w, parity), bit in zip(legs, bits):
             if bit ^ parity:
                 if seen & w and not key & w:
@@ -386,7 +420,9 @@ def _template(
         else:
             table[key] = table.get(key, 0) + v
     e, r = er or (0, 0)
-    mask = sum(1 << slot for slot in {slot for slot, _ in pattern})
+    mask = 0
+    for w, _ in legs:
+        mask |= w
     return _Factor(mask, {k: v for k, v in table.items() if v}, e, r)
 
 
@@ -453,6 +489,21 @@ def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
 
 
 @dataclass(frozen=True)
+class _Path:
+    """One order's elimination of a plan, found on index masks alone.
+
+    Each step is (slots, index, out, mask): join the factors in ``slots``
+    from the first, sum ``index`` out at the last join, and put the
+    result, over the indices of ``mask`` on an open run, in slot ``out``.
+    Slots 0 to len(blocks) - 1 hold the plan's blocks in order, and step k
+    fills slot len(blocks) + k. ``tables`` holds each kept block's open
+    factor, shared by both orders' paths, or None for a wide block."""
+
+    steps: list[tuple[tuple[int, ...], int, int, int]]
+    tables: list[_Factor | None]
+
+
+@dataclass(frozen=True)
 class _Plan:
     """What every contraction of one valid diagram shares, whatever it
     pins. Indices are numbered densely in the order of their lowest
@@ -462,13 +513,16 @@ class _Plan:
     keeps (see ``_node_factor``). ``too_wide`` is the refusal a node
     with too many enumerated legs earns, and ``scalar`` = (a, b, e) is
     the factor no pin can change: legless nodes, fused two-leg dark
-    generators and traced loops, or zero for an odd cycle of NOT wires."""
+    generators and traced loops, or zero for an odd cycle of NOT wires.
+    ``paths`` maps an order to its ``_Path``, made on the order's first
+    run that gets past the size checks and stored in one assignment."""
 
     too_wide: str | None
     in_wire: list[tuple[int, int]]
     out_wire: list[tuple[int, int]]
     blocks: list[tuple[tuple, tuple[int, ...]]]
     scalar: tuple[int, int, int]
+    paths: dict[str, _Path] = field(default_factory=dict, compare=False, repr=False)
 
 
 # The last plan made, with a weak reference to its diagram: a diagram
@@ -656,6 +710,59 @@ def _plan(d: Diagram) -> _Plan:
     return plan
 
 
+def _path(plan: _Plan, order: str) -> _Path:
+    """Run bucket elimination on the blocks' index masks: pop the cheapest
+    closed index (fewest indices spanned by its holders; "greedy" breaks
+    a tie by the lowest index, "sequential" by the highest) and join its
+    holders, lowest slot first, into a new slot; a result with no index
+    left holds nothing. Boundary indices stay open, so pins, which only
+    fix boundary indices, leave every step valid. The tables are the
+    other order's, or are built here, the kept blocks' ones unpinned."""
+    blocks = plan.blocks
+    masks: dict[int, int] = {}
+    holders: dict[int, set[int]] = {}
+    for slot, (_, weights) in enumerate(blocks):
+        for w in weights:
+            holders.setdefault(w.bit_length() - 1, set()).add(slot)
+        if weights:
+            masks[slot] = sum(weights)
+    boundary = {i for i, _ in plan.in_wire + plan.out_wire}
+    tie = 1 if order == "greedy" else -1
+
+    def cost(i: int) -> int:
+        spanned = 0
+        for slot in holders[i]:
+            spanned |= masks[slot]
+        return spanned.bit_count()
+
+    heap = [(cost(i), tie * i) for i in holders if i not in boundary]
+    heapq.heapify(heap)
+    steps: list[tuple[tuple[int, ...], int, int, int]] = []
+    while heap:
+        score, key = heapq.heappop(heap)
+        i = tie * key
+        current = cost(i)
+        if current != score:
+            heapq.heappush(heap, (current, key))
+            continue
+        slots = sorted(holders.pop(i))
+        mask = 0
+        for slot in slots:
+            mask |= masks.pop(slot)
+        mask &= ~(1 << i)
+        out = len(blocks) + len(steps)
+        steps.append((tuple(slots), i, out, mask))
+        if mask:
+            masks[out] = mask
+            for j in _indices(mask):
+                holders[j].difference_update(slots)
+                holders[j].add(out)
+    done = next(iter(plan.paths.values()), None)
+    if done is not None:
+        return _Path(steps, done.tables)
+    return _Path(steps, [None if _wide(key) else _node_factor(key, w, 0, 0) for key, w in blocks])
+
+
 def _invalid(d: Diagram) -> InvalidDiagram:
     """The error for a faulty diagram, showing the first of the problems
     that ``validate`` lists."""
@@ -670,7 +777,11 @@ def _contract(
     """``evaluate`` with the first len(bits) boundary positions of ``side``
     pinned to ``bits``. A pinned bit fixes its index, so the tables that
     read it keep only the matching entries, and the index is never
-    summed. Only unpinned wires count against DEFAULT_MAX_BOUNDARY."""
+    summed. Only unpinned wires count against DEFAULT_MAX_BOUNDARY.
+
+    A run replays the plan's path for ``order``, made on its first run:
+    it slices the path's kept tables by its pins, builds each wide block
+    on its pinned bits, and joins slot by slot as the steps say."""
     plan = _plan(d)
     unpinned = d.n_in + d.n_out - len(bits)
     if unpinned > DEFAULT_MAX_BOUNDARY:
@@ -696,70 +807,44 @@ def _contract(
     sa, sb, se = plan.scalar
     if clash or not (sa or sb):
         return ExactMatrix(n_out=len(out_wire), n_in=len(in_wire), entries={})
+    path = plan.paths.get(order)
+    if path is None:
+        path = plan.paths[order] = _path(plan, order)
 
-    # A block's table on a fixed index is sliced to its bit, and a block
-    # with no index left is a wireless factor, which enters the scalar.
+    # Slot s holds block s's table, sliced to the pins. Each step pops its
+    # slots, joins them from the first and sums its index at the last
+    # join; a lone slot sums it against the unit factor (no indices,
+    # table {0: 1}). Every operand holds the step's closed index, so no
+    # pin leaves it wireless.
     pinmask, pinval = sum(1 << i for i in fixed), sum(b << i for i, b in fixed.items())
-    factors: dict[int, _Factor] = {}
-    wireless: list[_Factor] = []
-    for key, weights in plan.blocks:
-        factor = _node_factor(key, weights, pinmask, pinval)
-        if factor.mask:
-            factors[len(factors)] = factor
-        else:
-            wireless.append(factor)
-    holders: dict[int, set[int]] = {}
-    for fid, factor in factors.items():
-        for i in factor.wires:
-            holders.setdefault(i, set()).add(fid)
-    open_indices = {i for i, _ in in_wire + out_wire} - fixed.keys()
-
-    # Bucket elimination: pop the cheapest closed index (fewest indices
-    # spanned by its factors; "greedy" breaks a tie by the lowest index,
-    # "sequential" by the highest), join its owners from the first, and
-    # sum it out at the last join; a lone owner sums it out against the
-    # unit factor (no indices, table {0: 1}). A result with no index left
-    # is kept apart too.
-    tie = 1 if order == "greedy" else -1
-
-    def cost(i: int) -> int:
-        spanned = 0
-        for fid in holders[i]:
-            spanned |= factors[fid].mask
-        return spanned.bit_count()
-
-    heap = [(cost(i), tie * i) for i in holders if i not in open_indices]
-    heapq.heapify(heap)
-    next_fid = len(factors)
-    while heap:
-        score, key = heapq.heappop(heap)
-        i = tie * key
-        current = cost(i)
-        if current != score:
-            heapq.heappush(heap, (current, key))
-            continue
-        owner_ids = sorted(holders.pop(i))
-        joined, *rest = [factors.pop(fid) for fid in owner_ids]
+    factors = dict(enumerate(path.tables))
+    for slot, table in factors.items():
+        if table is None:
+            factors[slot] = _node_factor(*plan.blocks[slot], pinmask, pinval)
+        elif table.mask & pinmask:
+            factors[slot] = _slice(table, pinmask, pinval)
+    pop = factors.pop
+    for slots, i, out, _ in path.steps:
+        joined, *rest = [pop(slot) for slot in slots]
         if not rest:
             joined, rest = _UNIT, [joined]
         for k, factor in enumerate(rest, 1):
             joined = _join(joined, factor, (i,) if k == len(rest) else ())
-        if not joined.mask:
-            wireless.append(joined)
-            continue
-        for j in joined.wires:
-            holders[j].difference_update(owner_ids)
-            holders[j].add(next_fid)
-        factors[next_fid] = joined
-        next_fid += 1
+        factors[out] = joined
 
     # Only open indices remain. Fold the surviving factors into one
-    # sparse table, then expand the open indices no factor holds. Values
-    # become ExactScalar only here, times the plan's scalar, the wireless
-    # factors and sqrt(2)**r. Each boundary bit is its index's bit XOR its
-    # parity, so each (key, free bits) pair lands on its own entry; an
-    # open wire on a fixed index reads the fixed bit.
-    combined, *rest = [factors[fid] for fid in sorted(factors)] or [_UNIT]
+    # sparse table in slot order, then expand the open indices no factor
+    # holds. Values become ExactScalar only here, times the plan's scalar,
+    # the wireless factors (left with no index) and sqrt(2)**r. Each
+    # boundary bit is its index's bit XOR its parity, so each (key, free
+    # bits) pair lands on its own entry; an open wire on a fixed index
+    # reads the fixed bit.
+    held: list[_Factor] = []
+    wireless: list[_Factor] = []
+    for factor in factors.values():
+        (held if factor.mask else wireless).append(factor)
+    open_indices = {i for i, _ in in_wire + out_wire} - fixed.keys()
+    combined, *rest = held or [_UNIT]
     for factor in rest:
         combined = _join(combined, factor, ())
     free = [1 << i for i in sorted(open_indices) if not combined.mask >> i & 1]

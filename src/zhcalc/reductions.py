@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from typing import Sequence
 
 from .counting import formula_with_count
@@ -173,6 +173,8 @@ def build_state_eq(inst: SatCompareInstance) -> StateEqInstance:
     return StateEqInstance(*pair)
 
 
+# k comes from callers, so the cache is bounded; the diagram is immutable.
+@lru_cache(maxsize=128)
 def dyadic_scalar(k: DyadicK) -> Diagram:
     """A closed diagram evaluating to exactly c/2^d, for nonzero k.
 

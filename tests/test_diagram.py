@@ -58,6 +58,17 @@ class TestConstructors:
                 d = generator(kind, 2, 1)
             assert d.validate() == []
 
+    def test_kinds_hash_by_identity(self) -> None:
+        # Members are singletons, so a lookup by a member found any way
+        # (by value, by name, from JSON) hits the entry keyed by it.
+        assert GeneratorKind.__hash__ is object.__hash__
+        table = {kind: kind.value for kind in GeneratorKind}
+        for kind in GeneratorKind:
+            assert table[GeneratorKind(kind.value)] == table[GeneratorKind[kind.name]] == kind.value
+            assert kind in set(GeneratorKind) and {kind} == {GeneratorKind(kind.value)}
+        d = Diagram.from_json(json.loads(json.dumps(generator(Z, 1, 2).to_json())))
+        assert table[d.nodes[0].kind] == "Z"
+
     def test_star_refuses_legs(self) -> None:
         with pytest.raises(ValueError):
             generator(STAR, 1, 0)

@@ -54,6 +54,12 @@ class TestGates:
             gadget = gate_gadget(block)
             assert evaluate(gadget) == gate_target(block), block
 
+    def test_blocks_hash_by_identity(self) -> None:
+        assert GateBlock.__hash__ is object.__hash__
+        for block in GateBlock:
+            assert gate_gadget(GateBlock(block.value)) is gate_gadget(block)
+            assert {block: 1}[GateBlock[block.name]] == 1
+
     def test_structural_forms(self) -> None:
         assert gate_gadget(GateBlock.BOTH) == generator(Z, 0, 1)
         assert gate_gadget(GateBlock.COPY) == generator(Z, 1, 2)

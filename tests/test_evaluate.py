@@ -452,7 +452,7 @@ class TestPairTables:
                 evaluate_module, "_generator_support", lambda kind, degree, s=support: iter(s)
             )
             with pytest.raises(ValueError, match="sqrt"):
-                evaluate_module._template(H, ((0, 0),), {})
+                evaluate_module._template(H, ((1, 0),), 0, 0)
 
     def test_matrices_have_one_sqrt2_parity(self) -> None:
         # Each generator's values have one sqrt(2) parity, so products and
@@ -641,6 +641,112 @@ print(sum(route(d, "greedy") != route(d, "sequential") for d in small))
         done = capped_child(code, timeout=30)
         assert done.returncode == 0, done.stderr[-3000:]
         assert int(done.stdout) > 0
+
+
+class TestCompiledPaths:
+    """Each plan finds one elimination path per order on its blocks' index
+    masks, at its first run, and every run replays it over the plan's
+    kept tables."""
+
+    def test_path_widths_match_the_joins(self, capped_child) -> None:
+        # Each step's result is the join that sums its index, and joins
+        # that build block tables run inside _node_factor, so the joins
+        # with an index to sum, outside it, are the steps in order.
+        code = LADDER_STATES + """
+import random, sys
+from zhcalc import evaluate
+from zhcalc.corpus import random_diagram
+
+engine = sys.modules["zhcalc.evaluate"]
+join, node_factor = engine._join, engine._node_factor
+seen, inside = [], []
+
+def joining(f1, f2, summed):
+    joined = join(f1, f2, summed)
+    if summed and not inside:
+        seen.append(joined.mask)
+    return joined
+
+def making(*args):
+    inside.append(1)
+    try:
+        return node_factor(*args)
+    finally:
+        inside.pop()
+
+engine._join, engine._node_factor = joining, making
+rng = random.Random(12)
+corpus = [d for cnf, d in ladder_states() if len(cnf.variables) <= 10]
+corpus += [random_diagram(rng, max_degree=5) for _ in range(300)]
+checked = differ = 0
+for d in corpus:
+    for order in ("greedy", "sequential"):
+        seen.clear()
+        evaluate(d, order=order)
+        # A diagram whose scalar is zero runs no step and finds no path.
+        path = engine._plan(d).paths.get(order)
+        masks = [mask for *_, mask in path.steps] if path else []
+        assert seen == masks, (order, d)
+        checked += len(masks)
+    paths = engine._plan(d).paths
+    differ += len(paths) == 2 and paths["greedy"].steps != paths["sequential"].steps
+print(checked, differ)
+"""
+        done = capped_child(code, timeout=60)
+        assert done.returncode == 0, done.stderr[-3000:]
+        checked, differ = map(int, done.stdout.split())
+        # The two orders' paths are two routes, not one under two names.
+        assert checked > 500 and differ > 0
+
+    def test_later_runs_build_only_wide_blocks(self, monkeypatch) -> None:
+        # A contains-entry diagram beside a 9-leg box, whose table is the
+        # one built per run. A later run of either order, open or pinned,
+        # makes no kept block's table, and a second path only for a new
+        # order.
+        built = build_contains_entry(two_variable_instance(), DyadicK(3, 2))
+        d = tensor(built, generator(H, 4, 5))
+        first = evaluate(d)
+        keys, paths = [], []
+        node_factor, path = evaluate_module._node_factor, evaluate_module._path
+
+        def making(key, *args):
+            keys.append(key)
+            return node_factor(key, *args)
+
+        def finding(*args):
+            paths.append(args)
+            return path(*args)
+
+        monkeypatch.setattr(evaluate_module, "_node_factor", making)
+        monkeypatch.setattr(evaluate_module, "_path", finding)
+        runs = [
+            lambda: evaluate(d),
+            lambda: apply_basis(d, (1, 0, 1, 1, 0, 1), "in"),
+            lambda: evaluate(d, order="sequential"),
+            lambda: apply_basis(d, (0, 1, 1, 0, 1), "out"),
+        ]
+        got = []
+        for run in runs:
+            keys.clear()
+            got.append(run())
+            assert [[len(legs) for _, legs in key[1:]] for key in keys] == [[9]]
+        assert [order for _, order in paths] == ["sequential"]
+        copy = Diagram(d.nodes, d.edges, d.n_in, d.n_out)
+        monkeypatch.undo()
+        assert got[0] == got[2] == first == evaluate(copy)
+        assert got[1] == apply_basis(copy, (1, 0, 1, 1, 0, 1), "in")
+        assert got[3] == apply_basis(copy, (0, 1, 1, 0, 1), "out")
+
+    def test_refused_runs_build_no_path(self, monkeypatch) -> None:
+        monkeypatch.setattr(evaluate_module, "_path", _never_path)
+        for d in (identity(12), generator(H, 12, 11), self_looped(H, 12)):
+            with pytest.raises(TooLarge):
+                evaluate(d)
+            assert evaluate_module._plan(d).paths == {}
+
+
+def _never_path(plan, order):
+    raise AssertionError("a refused run found a path")
 
 
 def two_leg_dark_nodes(d: Diagram) -> int:
@@ -929,6 +1035,34 @@ class TestCompiledPlans:
             assert column.entry(row, "") == open_matrix.entry(row, "101101")
         assert sizes and max(sizes) <= 2**6
 
+    @pytest.mark.parametrize("kind", [H, X, XNOT])
+    def test_pinned_wide_generators_match_their_matrix(self, kind) -> None:
+        # A node of over 8 legs is built per run straight over its index
+        # bits; with a self-loop, the looped index takes a spare bit and is
+        # summed inside the block.
+        want = interpret_generator(kind, 4, 5)
+        looped = Diagram(
+            nodes=(Node(kind=kind, degree=11),),
+            edges=((NodePort(0, 0), NodePort(0, 1)),)
+            + tuple((NodePort(0, p + 2), BoundaryPort("in", p)) for p in range(4))
+            + tuple((NodePort(0, p + 6), BoundaryPort("out", p)) for p in range(5)),
+            n_in=4,
+            n_out=5,
+        )
+        traced = brute_evaluate(looped)
+        for d, entries in ((generator(kind, 4, 5), want.entries), (looped, traced)):
+            assert evaluate(d).entries == entries
+            for bits in product((0, 1), repeat=4):
+                col = "".join(map(str, bits))
+                assert apply_basis(d, bits, "in").entries == {
+                    (row, ""): v for (row, c), v in entries.items() if c == col
+                }
+            for bits in ((1, 1, 1, 1, 1), (0, 1, 1, 0, 1)):
+                row = "".join(map(str, bits))
+                assert apply_basis(d, bits, "out").entries == {
+                    ("", c): v for (r, c), v in entries.items() if r == row
+                }
+
     def test_kept_tables_are_capped(self, monkeypatch) -> None:
         # Past the cap, new patterns are built per call; results hold.
         monkeypatch.setattr(evaluate_module, "_TEMPLATES", {})
@@ -964,7 +1098,9 @@ class TestCompiledPlans:
         # pair alone, is summed inside the block's table, so no block
         # reaches the elimination loop as a lone owner.
         built = build_contains_entry(random_sat_compare(random.Random(42)), DyadicK(3, 2))
-        evaluate(built)  # warm the kept tables, so no join below builds one
+        # Warm the kept tables on an equal diagram, so no join below builds
+        # one; built then gets a fresh plan, whose first run makes blocks.
+        evaluate(Diagram(built.nodes, built.edges, built.n_in, built.n_out))
         blocks, lone_owners = [], []
         node_factor, join = evaluate_module._node_factor, evaluate_module._join
 
@@ -984,7 +1120,10 @@ class TestCompiledPlans:
         assert not {id(f) for f in blocks} & {id(f) for f in lone_owners}
 
     def test_pins_add_no_factor(self, monkeypatch) -> None:
+        # Two equal diagrams, each with a fresh plan: a pinned first run
+        # makes as many block factors as an open one.
         built = build_contains_entry(two_variable_instance(), DyadicK(3, 2))
+        opened_d, pinned_d = (Diagram(built.nodes, built.edges, 2, 0) for _ in range(2))
         calls = []
         node_factor = evaluate_module._node_factor
 
@@ -993,11 +1132,11 @@ class TestCompiledPlans:
             return node_factor(*args)
 
         monkeypatch.setattr(evaluate_module, "_node_factor", recording)
-        evaluate(built)
+        evaluate(opened_d)
         opened = len(calls)
         calls.clear()
-        apply_basis(built, (1, 0), "in")
-        assert len(calls) == opened
+        apply_basis(pinned_d, (1, 0), "in")
+        assert opened and len(calls) == opened
 
 
 def shape_mutations(d: Diagram, rng: random.Random) -> list[Diagram]:

@@ -167,8 +167,14 @@ class TestDyadicScalarGadget:
             assert evaluate(gadget).entry("", "") == ExactScalar(c, 0, d), (c, d)
 
     def test_zero_has_no_gadget(self) -> None:
-        with pytest.raises(ValueError):
-            dyadic_scalar(DyadicK(0, 0))
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                dyadic_scalar(DyadicK(0, 0))
+
+    def test_equal_k_gives_one_diagram(self) -> None:
+        gadget = dyadic_scalar(DyadicK(-5, 3))
+        assert dyadic_scalar(DyadicK(-5, 3)) is gadget
+        assert evaluate(gadget).entry("", "") == ExactScalar(-5, 0, 3)
 
 
 class TestBuildContainsEntry:
