@@ -136,6 +136,16 @@ class ExactMatrix:
                 kept[(row, col)] = value
         object.__setattr__(self, "entries", kept)
 
+    @classmethod
+    def _trusted(
+        cls, n_out: int, n_in: int, entries: dict[tuple[str, str], ExactScalar]
+    ) -> "ExactMatrix":
+        """A matrix over entries known to be bitstring pairs of its shape
+        with nonzero values, such as the engine's, without re-checking them."""
+        matrix = object.__new__(cls)
+        matrix.__dict__.update(n_out=n_out, n_in=n_in, entries=entries)
+        return matrix
+
     def entry(self, row: str, col: str) -> ExactScalar:
         return self.entries.get((row, col), ZERO)
 
@@ -806,7 +816,7 @@ def _contract(
         out_wire = out_wire[len(bits) :]
     sa, sb, se = plan.scalar
     if clash or not (sa or sb):
-        return ExactMatrix(n_out=len(out_wire), n_in=len(in_wire), entries={})
+        return ExactMatrix._trusted(len(out_wire), len(in_wire), {})
     path = plan.paths.get(order)
     if path is None:
         path = plan.paths[order] = _path(plan, order)
@@ -864,7 +874,7 @@ def _contract(
             row = "".join(["01"[full >> i & 1 ^ p] for i, p in out_wire])
             col = "".join(["01"[full >> i & 1 ^ p] for i, p in in_wire])
             entries[(row, col)] = value
-    return ExactMatrix(n_out=len(out_wire), n_in=len(in_wire), entries=entries)
+    return ExactMatrix._trusted(len(out_wire), len(in_wire), entries)
 
 
 def apply_basis(

@@ -3,7 +3,8 @@
 Formulae are immutable trees over Var/Const/Not/And/Or/Implies/Iff.
 Model counts are always taken over an explicit, ordered variable list,
 which may be larger than the set of variables that actually occur.
-Counting is brute-force enumeration and guarded by a variable bound.
+Counting runs a formula once over truth tables, one bit per assignment,
+and is guarded by a variable bound.
 
 Concrete syntax: variables match [A-Za-z_][A-Za-z0-9_]*, constants are
 T and F, operators are ~ & | -> <-> with precedence ~ > & > | > -> >
@@ -16,9 +17,9 @@ stacks, so depth is bounded by memory, not by the recursion limit.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Callable, Iterator, TypeVar, Union
 
@@ -129,33 +130,85 @@ def _fold(phi: Formula, rule: Callable[..., _T]) -> _T:
     return results[0]
 
 
-_TRUTH = {And: operator.and_, Or: operator.or_, Implies: operator.le, Iff: operator.eq}
+# A truth table is an int with one bit per assignment: bit a is the value
+# under assignment a, whose bits are the variables' values, the first name
+# most significant. One table spans at most 2**_TABLE_BITS assignments
+# (8 KiB); past that the leading names are pinned, one table per valuation.
+_TABLE_BITS = 16
+
+_CONNECTIVE = {
+    And: lambda left, right, full: left & right,
+    Or: lambda left, right, full: left | right,
+    Implies: lambda left, right, full: (left ^ full) | right,
+    Iff: lambda left, right, full: left ^ right ^ full,
+}
 
 
-def _truth(program: list[Formula], valuation: Valuation) -> bool:
-    """Run a post-order node list as a postfix program over one valuation.
-    Every variable is read, including those in a branch whose value is
-    already decided."""
-    stack = []
-    try:
-        for node in program:
-            kind = type(node)
-            if kind is Var:
-                stack.append(valuation[node.name])
-            elif kind is Const:
-                stack.append(node.value)
-            elif kind is Not:
-                stack[-1] = not stack[-1]
-            else:
-                right = stack.pop()
-                stack[-1] = _TRUTH[kind](stack[-1], right)
-    except KeyError as exc:
-        raise UnassignedVariable(exc.args[0]) from None
+@cache
+def _column(width: int, shift: int) -> int:
+    """The table, over 2**width assignments, of the variable that bit
+    ``shift`` of an assignment gives: runs of 2**shift zeros, then as many
+    ones, built by doubling."""
+    run = 1 << shift
+    column, span = ((1 << run) - 1) << run, 2 * run
+    while span < 1 << width:
+        column |= column << span
+        span *= 2
+    return column
+
+
+def _table(program: list[Formula], env: dict[str, int], full: int) -> int:
+    """Run a post-order node list as a postfix program over truth tables;
+    ``env`` holds each variable's table and ``full`` is the all-true one."""
+    stack: list[int] = []
+    for node in program:
+        kind = type(node)
+        if kind is Var:
+            stack.append(env[node.name])
+        elif kind is Const:
+            stack.append(full if node.value else 0)
+        elif kind is Not:
+            stack[-1] ^= full
+        else:
+            right = stack.pop()
+            stack[-1] = _CONNECTIVE[kind](stack[-1], right, full)
     return stack[0]
 
 
+def _tables(
+    phi: Formula, names: list[str], pins: Valuation, width: int
+) -> Iterator[int]:
+    """phi's truth tables over the last ``width`` of ``names`` with ``pins``
+    fixed, one per valuation of the names before them, in lexicographic
+    order. A repeated name takes the value of its last position, as in
+    ``assignments``; a name both pinned and in ``names`` is refused."""
+    program = _postorder(phi)
+    position = {name: i for i, name in enumerate(names)}
+    clash = position.keys() & pins.keys()
+    if clash:
+        raise ValueError(f"variables both pinned and counted: {_brief(sorted(clash))}")
+    missing = {node.name for node in program if type(node) is Var}
+    missing -= position.keys() | pins.keys()
+    if missing:
+        raise UnassignedVariable(", ".join(sorted(missing)))
+    full = (1 << (1 << width)) - 1
+    split = len(names) - width
+    env = {name: full if value else 0 for name, value in pins.items()}
+    leading = []
+    for name, i in position.items():
+        if i < split:
+            leading.append((name, split - 1 - i))
+        else:
+            env[name] = _column(width, len(names) - 1 - i)
+    for prefix in range(1 << split):
+        env.update((name, full if prefix >> shift & 1 else 0) for name, shift in leading)
+        yield _table(program, env, full)
+
+
 def eval_formula(phi: Formula, valuation: Valuation) -> bool:
-    return _truth(_postorder(phi), valuation)
+    """phi's value under ``valuation``, which must assign every variable of
+    phi, including those in a branch whose value is already decided."""
+    return bool(next(_tables(phi, [], valuation, 0)))
 
 
 def formula_vars(phi: Formula) -> tuple[str, ...]:
@@ -235,19 +288,51 @@ def _bounded(variables: tuple[str, ...] | list[str]) -> list[str]:
     return names
 
 
-def count_sat(phi: Formula, variables: tuple[str, ...] | list[str]) -> int:
-    """Number of assignments of `variables` satisfying phi, by enumeration.
+def model_counts(
+    phi: Formula,
+    leading: tuple[str, ...] | list[str],
+    variables: tuple[str, ...] | list[str],
+    pins: Valuation | None = None,
+) -> Iterator[int]:
+    """``count_sat(phi, variables, pins)`` with each valuation of ``leading``
+    added to the pins, lazily and in lexicographic order (False < True).
 
-    `variables` must cover every variable occurring in phi and may
-    contain extra names; each unused name doubles the count of an
-    otherwise satisfiable formula.
+    One truth table covers the counted names and as many leading ones as
+    fit, so a table yields several counts or a count sums several tables.
     """
-    names = _bounded(variables)
-    program = _postorder(phi)
-    missing = {node.name for node in program if type(node) is Var} - set(names)
-    if missing:
-        raise UnassignedVariable(", ".join(sorted(missing)))
-    return sum(1 for v in assignments(names) if _truth(program, v))
+    counted = len(_bounded(variables))
+    names = [*leading, *variables]
+    width = min(len(names), _TABLE_BITS)
+    tables = _tables(phi, names, pins or {}, width)
+    if counted >= width:
+        group, total = 1 << (counted - width), 0
+        for j, table in enumerate(tables, 1):
+            total += table.bit_count()
+            if j % group == 0:
+                yield total
+                total = 0
+    else:
+        run = 1 << counted
+        block = (1 << run) - 1
+        for table in tables:
+            for shift in range(0, 1 << width, run):
+                yield (table >> shift & block).bit_count()
+
+
+def count_sat(
+    phi: Formula,
+    variables: tuple[str, ...] | list[str],
+    pins: Valuation | None = None,
+) -> int:
+    """Number of assignments of `variables` satisfying phi with `pins`
+    fixed, from one pass of its post-order over truth tables.
+
+    `variables` and `pins` together must cover every variable occurring
+    in phi, and no name may be in both; `variables` may contain extra
+    names, and each unused name doubles the count of an otherwise
+    satisfiable formula.
+    """
+    return next(model_counts(phi, (), variables, pins))
 
 
 def satisfying_assignments(
@@ -255,11 +340,16 @@ def satisfying_assignments(
 ) -> list[str]:
     """Satisfying assignments as bitstrings in variable-list order."""
     names = _bounded(variables)
-    program = _postorder(phi)
+    width = min(len(names), _TABLE_BITS)
+    last = {name: i for i, name in enumerate(names)}
+    shifts = [len(names) - 1 - last[name] for name in names]
     out = []
-    for v in assignments(names):
-        if _truth(program, v):
-            out.append("".join("1" if v[n] else "0" for n in names))
+    for prefix, table in enumerate(_tables(phi, names, {}, width)):
+        while table:
+            low = table & -table
+            a = prefix << width | low.bit_length() - 1
+            out.append("".join(["01"[a >> s & 1] for s in shifts]))
+            table ^= low
     return out
 
 

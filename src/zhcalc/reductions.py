@@ -51,7 +51,6 @@ from .formula import (
     SatCompareInstance,
     Var,
     count_sat,
-    substitute,
 )
 from .scalar import ExactScalar
 from .solve import solve_contains_entry, solve_sat_compare, solve_state_eq
@@ -242,17 +241,22 @@ def build_contains_entry(inst: SatCompareInstance, k: DyadicK) -> Diagram:
     return built
 
 
+@lru_cache(maxsize=256)
+def _check_input(n: int, m: int, k: DyadicK) -> tuple[int, ...]:
+    """The deterministic pseudo-random basis input that checks the
+    contains-entry diagram of an (n, m) instance for k."""
+    rng = random.Random(f"contains-entry {n} {m} {k.c} {k.d}")
+    return tuple(rng.randrange(2) for _ in range(n))
+
+
 def _check_contains_entry(
     built: Diagram, inst: SatCompareInstance, k: DyadicK
 ) -> None:
     """Evaluate one deterministic pseudo-random basis input against the
     formula-level oracle; raise if the construction is off."""
-    rng = random.Random(f"contains-entry {inst.n} {inst.m} {k.c} {k.d}")
-    v = [rng.randrange(2) for _ in range(inst.n)]
+    v = _check_input(inst.n, inst.m, k)
     bound = {name: bool(bit) for name, bit in zip(inst.x_vars, v)}
-    diff = count_sat(substitute(inst.rho, bound), inst.z_vars) - count_sat(
-        substitute(inst.psi, bound), inst.y_vars
-    )
+    diff = count_sat(inst.rho, inst.z_vars, bound) - count_sat(inst.psi, inst.y_vars, bound)
     if k.c == 0:
         expected = ExactScalar(diff, 0, 0)
     else:
@@ -260,7 +264,7 @@ def _check_contains_entry(
     got = apply_basis(built, v, "in").entry("", "")
     if got != expected:
         raise ContractViolation(
-            f"entry at {v} is {got}, oracle says {expected}"
+            f"entry at {list(v)} is {got}, oracle says {expected}"
         )
 
 

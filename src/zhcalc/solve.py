@@ -18,8 +18,7 @@ from .formula import (
     SatCompareInstance,
     TooManyVariables,
     Valuation,
-    count_sat,
-    substitute,
+    model_counts,
 )
 from .scalar import ExactScalar
 
@@ -108,17 +107,22 @@ def solve_sat_compare(inst: SatCompareInstance) -> Optional[Valuation]:
     counts agree, or None.
 
     This is the pure-formula oracle: no diagrams are built, so it
-    validates the reduction builders from the outside.
+    validates the reduction builders from the outside. The x valuations
+    are scanned in lexicographic order (False < True), and each side's
+    counts come from one truth-table pass per 2**16 assignments of its
+    x and extra variables, made only as far as the scan reaches.
     """
     if inst.n > DEFAULT_MAX_ENUM:
         raise TooManyVariables(
             f"{inst.n} shared variables exceeds the bound {DEFAULT_MAX_ENUM}"
         )
     names = inst.x_vars
-    for bits in product((False, True), repeat=inst.n):
-        valuation: Valuation = dict(zip(names, bits))
-        left = count_sat(substitute(inst.psi, valuation), inst.y_vars)
-        right = count_sat(substitute(inst.rho, valuation), inst.z_vars)
+    counts = zip(
+        product((False, True), repeat=inst.n),
+        model_counts(inst.psi, names, inst.y_vars),
+        model_counts(inst.rho, names, inst.z_vars),
+    )
+    for bits, left, right in counts:
         if left == right:
-            return valuation
+            return dict(zip(names, bits))
     return None

@@ -260,6 +260,22 @@ class TestVerify:
         assert "'zhcalc.cli'" in loaded
         assert "'zhcalc.corpus'" not in loaded and "'zhcalc.cnf'" not in loaded
 
+    def test_package_import_loads_every_library_module(self) -> None:
+        # perfbench's worker imports only zhcalc, zhcalc.cnf and zhcalc.corpus
+        # and reads the other modules from sys.modules, so a lazy package
+        # import would fail every benchmark run.
+        src = str(Path(sys.modules["zhcalc"].__file__).parents[1])
+        probe = "import sys, zhcalc; print(sorted(sys.modules))"
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for name in ("diagram", "encode", "evaluate", "formula", "reductions", "scalar", "solve"):
+            assert f"'zhcalc.{name}'" in loaded, name
+
     def test_requires_some_input(self, capsys) -> None:
         assert main(["verify"]) == 2
         assert "instance file or --random" in capsys.readouterr().err

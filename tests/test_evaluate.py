@@ -615,7 +615,10 @@ for _ in range(25):
 
     def test_take_different_routes(self, capped_child) -> None:
         # Each route is the sequence of joins, as operand wires and summed
-        # indices; "sequential" must not become an alias of "greedy".
+        # indices; "sequential" must not become an alias of "greedy". A
+        # first run also joins to build the block tables that both orders
+        # share, so each state is evaluated once before either route is
+        # recorded, and the routes hold only their steps' joins.
         code = LADDER_STATES + """
 import sys
 from zhcalc import evaluate
@@ -635,8 +638,12 @@ def route(d, order):
     engine._join = join
     return calls
 
+def differ(d):
+    evaluate(d)
+    return route(d, "greedy") != route(d, "sequential")
+
 small = [d for cnf, d in ladder_states() if len(cnf.variables) <= 10]
-print(sum(route(d, "greedy") != route(d, "sequential") for d in small))
+print(sum(map(differ, small)))
 """
         done = capped_child(code, timeout=30)
         assert done.returncode == 0, done.stderr[-3000:]
@@ -1329,12 +1336,29 @@ class TestApplyBasis:
 
 class TestExactMatrix:
     def test_drops_zeros_and_checks_shape(self) -> None:
+        # A matrix built by hand is checked; only the engine's skip the check.
         m = ExactMatrix(n_out=1, n_in=0, entries={("0", ""): ZERO, ("1", ""): ONE})
         assert m.entries == {("1", ""): ONE}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not match shape"):
             ExactMatrix(n_out=1, n_in=1, entries={("00", "0"): ONE})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a bitstring pair"):
             ExactMatrix(n_out=1, n_in=1, entries={("2", "0"): ONE})
+
+    def test_engine_results_skip_the_check_and_keep_its_invariants(self, monkeypatch) -> None:
+        # The engine builds its matrices without __post_init__: rebuilding
+        # each through the checking constructor changes nothing.
+        results = [evaluate(random_diagram(random.Random(seed))) for seed in range(40)]
+        results.append(apply_basis(generator(H, 2, 2), [1, 0], "in"))
+
+        def refuse(self) -> None:
+            raise AssertionError("the engine re-checked its entries")
+
+        monkeypatch.setattr(ExactMatrix, "__post_init__", refuse)
+        results.append(evaluate(generator(H, 8, 8)))
+        monkeypatch.undo()
+        assert any(m.entries for m in results) and any(m.is_zero for m in results)
+        for m in results:
+            assert ExactMatrix(n_out=m.n_out, n_in=m.n_in, entries=dict(m.entries)) == m
 
     def test_json_round_trip_and_order(self) -> None:
         m = evaluate(generator(H, 1, 1))

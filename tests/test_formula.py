@@ -1,11 +1,15 @@
 """Parser, evaluation, substitution and counting for formula trees."""
 
+import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zhcalc.formula as formula_module
+from zhcalc.cnf import from_dimacs
 from zhcalc.formula import (
     And,
     Const,
@@ -23,6 +27,7 @@ from zhcalc.formula import (
     eval_formula,
     format_formula,
     formula_vars,
+    model_counts,
     parse_formula,
     rename_vars,
     satisfying_assignments,
@@ -272,3 +277,167 @@ def test_eval_reads_every_variable():
     # branch whose value is already decided must still be assigned.
     with pytest.raises(UnassignedVariable):
         eval_formula(Or(x1, x2), {"x1": True})
+
+
+# -- the truth-table oracle against a brute-force reference ---------------------
+# The reference runs its own post-order as a postfix program over one dict of
+# bools per assignment, as count_sat did before truth tables.
+
+_REFERENCE_OPS = {
+    And: lambda a, b: a and b,
+    Or: lambda a, b: a or b,
+    Implies: lambda a, b: (not a) or b,
+    Iff: lambda a, b: a == b,
+}
+
+
+def _postfix_value(phi, valuation):
+    order, todo = [], [phi]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        if isinstance(node, Not):
+            todo.append(node.child)
+        elif not isinstance(node, (Var, Const)):
+            todo += [node.left, node.right]
+    stack = []
+    for node in reversed(order):
+        if isinstance(node, Var):
+            stack.append(valuation[node.name])
+        elif isinstance(node, Const):
+            stack.append(node.value)
+        elif isinstance(node, Not):
+            stack.append(not stack.pop())
+        else:
+            right, left = stack.pop(), stack.pop()
+            stack.append(_REFERENCE_OPS[type(node)](left, right))
+    return stack.pop()
+
+
+def _reference_models(phi, variables, pins=None):
+    """Satisfying assignments in lexicographic order; a repeated name takes
+    the value of its last position."""
+    out = []
+    for bits in itertools.product((False, True), repeat=len(variables)):
+        valuation = dict(pins or {})
+        valuation.update(zip(variables, bits))
+        if _postfix_value(phi, valuation):
+            out.append("".join("1" if valuation[name] else "0" for name in variables))
+    return out
+
+
+def _reference_count(phi, variables, pins=None):
+    return len(_reference_models(phi, variables, pins))
+
+
+CONNECTIVE_CASES = [
+    Const(True),
+    Const(False),
+    x1,
+    Not(x1),
+    And(x1, x2),
+    Or(x1, x2),
+    Implies(x1, x2),
+    Iff(x1, x2),
+    Not(Iff(Implies(x2, x1), Const(False))),
+    Or(And(x1, Const(True)), Implies(Const(False), x2)),
+]
+
+
+@pytest.mark.parametrize("phi", CONNECTIVE_CASES, ids=format_formula)
+@pytest.mark.parametrize(
+    "names",
+    [("x1", "x2"), ("x2", "x1"), ("x1", "x2", "x3", "y1"), ("x1", "x1", "x2"), ("x2", "x1", "x2")],
+)
+def test_count_sat_matches_the_reference(phi, names):
+    assert count_sat(phi, names) == _reference_count(phi, names)
+    assert satisfying_assignments(phi, names) == _reference_models(phi, names)
+
+
+def test_count_sat_over_no_variables():
+    assert count_sat(Const(True), ()) == 1
+    assert count_sat(Const(False), []) == 0
+    assert count_sat(Or(x1, Not(x1)), (), {"x1": False}) == 1
+    assert satisfying_assignments(Const(True), ()) == [""]
+    assert satisfying_assignments(Const(False), ()) == []
+    with pytest.raises(UnassignedVariable):
+        count_sat(x1, ())
+
+
+def test_count_sat_with_pins_matches_the_reference():
+    rng = random.Random(23)
+    names = ["x1", "x2", "x3", "y1", "y2"]
+    for _ in range(300):
+        phi = _random_formula(rng, names, 4)
+        pinned = rng.sample(names, rng.randint(0, len(names)))
+        pins = {name: rng.random() < 0.5 for name in pinned}
+        counted = [name for name in names if name not in pins]
+        counted += rng.sample(["u1", "u2"], rng.randint(0, 2))
+        assert count_sat(phi, counted, pins) == _reference_count(phi, counted, pins)
+        full = {**pins, **dict.fromkeys(counted, True)}
+        assert eval_formula(phi, full) == _postfix_value(phi, full)
+
+
+def test_count_sat_pins_must_cover_and_not_overlap():
+    phi = And(x1, Or(x2, x3))
+    with pytest.raises(UnassignedVariable, match="x3"):
+        count_sat(phi, ("x2",), {"x1": True})
+    with pytest.raises(ValueError, match="both pinned and counted"):
+        count_sat(phi, ("x1", "x2", "x3"), {"x1": True})
+    assert count_sat(phi, ("x2", "x3"), {"x1": True, "q9": False}) == 3
+    assert count_sat(phi, ("x2", "x3"), {"x1": False}) == 0
+
+
+@pytest.mark.parametrize("table_bits", [0, 1, 2])
+def test_tables_split_at_the_size_constant(monkeypatch, table_bits):
+    # With tables of 2**bits assignments, more names pin the leading ones
+    # and count over several tables, or read several counts from one.
+    monkeypatch.setattr(formula_module, "_TABLE_BITS", table_bits)
+    rng = random.Random(31 + table_bits)
+    names = ["x1", "x2", "x3", "y1", "y2"]
+    for _ in range(60):
+        phi = _random_formula(rng, names, 4)
+        for size in range(len(names) + 1):
+            counted = names[-size:] if size else []
+            leading = names[: len(names) - size]
+            want = [
+                _reference_count(phi, counted, dict(zip(leading, bits)))
+                for bits in itertools.product((False, True), repeat=len(leading))
+            ]
+            assert list(model_counts(phi, leading, counted)) == want
+        assert count_sat(phi, names) == _reference_count(phi, names)
+        assert satisfying_assignments(phi, names) == _reference_models(phi, names)
+        assert satisfying_assignments(phi, names + ["x1"]) == _reference_models(
+            phi, names + ["x1"]
+        )
+
+
+def test_model_counts_is_lazy():
+    # The first count needs one table, whatever the number of leading names.
+    phi = Or(Var("a1"), Var("b1"))
+    leading = [f"a{i}" for i in range(1, 41)]
+    counts = model_counts(phi, leading, ["b1"])
+    assert [next(counts) for _ in range(3)] == [1, 1, 1]
+
+
+def three_cnf(rng: random.Random, n: int, m: int) -> str:
+    """DIMACS text of m clauses, each over 3 distinct variables of n,
+    with random signs (perfbench/worker.py's ladder generator)."""
+    lines = [f"p cnf {n} {m}"]
+    for _ in range(m):
+        picked = rng.sample(range(1, n + 1), 3)
+        literals = [v if rng.random() < 0.5 else -v for v in picked]
+        lines.append(" ".join(map(str, literals)) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+def test_count_sat_at_twenty_variables():
+    # One pass over 16 tables of 2**16 assignments each; per-assignment
+    # enumeration took about a minute per formula.
+    counts = {}
+    start = time.perf_counter()
+    for seed in (1, 2):
+        cnf = from_dimacs(three_cnf(random.Random(seed), 20, 45))
+        counts[seed] = count_sat(cnf.to_formula(), cnf.variables)
+    assert time.perf_counter() - start < 2
+    assert counts == {1: 1820, 2: 1748}

@@ -7,7 +7,8 @@ from itertools import product
 
 import pytest
 
-from zhcalc.corpus import random_diagram, random_formula
+import zhcalc.formula as formula_module
+from zhcalc.corpus import random_diagram, random_formula, random_sat_compare
 from zhcalc.diagram import (
     ArityMismatch,
     BoundaryPort,
@@ -20,7 +21,18 @@ from zhcalc.diagram import (
 )
 from zhcalc.encode import GateBlock, counting_state, gate_gadget
 from zhcalc.evaluate import BasisState, apply_basis, evaluate
-from zhcalc.formula import Const, SatCompareInstance, TooManyVariables, parse_formula
+from zhcalc.formula import (
+    And,
+    Const,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    SatCompareInstance,
+    TooManyVariables,
+    Var,
+    parse_formula,
+)
 from zhcalc.reductions import DyadicK, build_contains_entry, build_state_eq, dyadic_scalar
 from zhcalc.scalar import ExactScalar, HALF, ONE, TWO, ZERO
 from zhcalc.solve import (
@@ -58,6 +70,37 @@ def random_instance(rng: random.Random) -> SatCompareInstance:
     psi = random_formula(rng, xs + [f"y{i}" for i in range(1, m + 1)], max_depth=3)
     rho = random_formula(rng, xs + [f"z{i}" for i in range(1, m + 1)], max_depth=3)
     return SatCompareInstance(n=n, m=m, psi=psi, rho=rho)
+
+
+def _holds(phi, valuation) -> bool:
+    """phi's value by recursion over the tree, independent of the engine's
+    truth tables; corpus formulae are shallow."""
+    match phi:
+        case Var(name):
+            return valuation[name]
+        case Const(value):
+            return value
+        case Not(child):
+            return not _holds(child, valuation)
+    left, right = _holds(phi.left, valuation), _holds(phi.right, valuation)
+    ops = {And: left and right, Or: left or right, Implies: not left or right, Iff: left == right}
+    return ops[type(phi)]
+
+
+def first_witness(inst: SatCompareInstance):
+    """solve_sat_compare by enumeration: count both sides per x valuation."""
+    for xs in product((False, True), repeat=inst.n):
+        x = dict(zip(inst.x_vars, xs))
+        left, right = (
+            sum(
+                _holds(phi, {**x, **dict(zip(extra, bits))})
+                for bits in product((False, True), repeat=inst.m)
+            )
+            for phi, extra in ((inst.psi, inst.y_vars), (inst.rho, inst.z_vars))
+        )
+        if left == right:
+            return x
+    return None
 
 
 # -- the per-input route the solvers replaced, kept as a reference ----------
@@ -249,6 +292,20 @@ class TestSolveSatCompare:
             solve_sat_compare(
                 SatCompareInstance(n=17, m=1, psi=Const(True), rho=Const(True))
             )
+
+    @pytest.mark.parametrize("table_bits", [16, 2])
+    def test_matches_a_brute_force_first_witness(self, monkeypatch, table_bits) -> None:
+        # With tables of 4 assignments, the counts span several tables or
+        # one table holds several x valuations' counts.
+        monkeypatch.setattr(formula_module, "_TABLE_BITS", table_bits)
+        rng = random.Random(2026)
+        witnessless = 0
+        for _ in range(250):
+            inst = random_sat_compare(rng, max_shared=4, max_extras=4)
+            want = first_witness(inst)
+            assert solve_sat_compare(inst) == want, inst
+            witnessless += want is None
+        assert 0 < witnessless < 250
 
     def test_reductions_agree_with_the_formula_oracle(self) -> None:
         rng = random.Random(77031)
