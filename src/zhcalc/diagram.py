@@ -27,7 +27,8 @@ import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from functools import cached_property
+from itertools import accumulate, chain, compress, pairwise
 from operator import itemgetter
 from typing import NamedTuple, Sequence, Union
 
@@ -84,7 +85,11 @@ class Diagram:
 
     Nodes are indexed densely: node ``i`` is ``nodes[i]``. Edge order is
     canonicalized on construction, so structural equality ignores the
-    order in which edges were listed.
+    order in which edges were listed: each edge lists its lower end
+    first, and edges go by their lower ends, inputs by position, then
+    node ports by (node, port), then outputs. ``DiagramBuilder.finish``
+    lays its edges out in that order and hands over their wiring, so
+    such a diagram skips the sort.
     """
 
     nodes: tuple[Node, ...]
@@ -94,6 +99,8 @@ class Diagram:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
+        if "_wiring" in self.__dict__:
+            return  # finish laid the edges out canonically
         # An endpoint's key puts inputs (0, pos) before node ports
         # (1, NodePort), which compare as (node, port) tuples, before every
         # other side (2, pos). Each edge lists its lower end first, and
@@ -105,6 +112,37 @@ class Diagram:
             keyed.append(((ka, kb), (a, b)) if ka <= kb else ((kb, ka), (b, a)))
         keyed.sort(key=itemgetter(0))
         object.__setattr__(self, "edges", tuple(map(itemgetter(1), keyed)))
+
+    @cached_property
+    def _wiring(self) -> tuple[list, list[int], list[int]] | None:
+        """Which edge each endpoint sits on: (node slots, input wires,
+        output wires), where node i's slots list the edge of each of its
+        ports (``()`` for no port), or None if an endpoint is out of
+        range, used twice or on an unknown side, or a slot stays empty.
+        ``finish`` hands it over; for any other diagram it is one walk
+        over the edges, made on first use. It is kept out of ``==``,
+        ``repr`` and JSON."""
+        # Every slot is filled iff the walk notes no fault and the
+        # endpoints number as many as the slots.
+        nodes, edges = self.nodes, self.edges
+        node_slots = [[-1] * degree if degree > 0 else () for _, degree in nodes]
+        in_wire, out_wire = [-1] * self.n_in, [-1] * self.n_out
+        n_nodes, faulty = len(nodes), False
+        for widx, edge in enumerate(edges):
+            for ep in edge:
+                if type(ep) is NodePort:
+                    node, port = ep
+                    slots = node_slots[node] if 0 <= node < n_nodes else ()
+                else:
+                    side, port = ep
+                    slots = in_wire if side == "in" else out_wire if side == "out" else ()
+                if 0 <= port < len(slots) and slots[port] < 0:
+                    slots[port] = widx
+                else:
+                    faulty = True
+        if faulty or 2 * len(edges) != sum(map(len, node_slots)) + len(in_wire) + len(out_wire):
+            return None
+        return node_slots, in_wire, out_wire
 
     # -- structural checks -------------------------------------------------
 
@@ -192,13 +230,15 @@ class Diagram:
     def from_json(cls, data: dict) -> "Diagram":
         """Parse the JSON form. Structural shape errors raise ValueError;
         graph-level problems are left for ``validate``."""
+        keys = ("nodes", "edges", "inputs", "outputs")
         try:
-            raw_nodes = list(data["nodes"])
-            raw_edges = list(data["edges"])
-            raw_inputs = list(data["inputs"])
-            raw_outputs = list(data["outputs"])
+            raw = [data[key] for key in keys]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"diagram JSON is missing a required key: {exc}") from exc
+        for key, value in zip(keys, raw):
+            if type(value) is not list:
+                raise ValueError(f"{key!r} must be a JSON array, got {_brief(value)}")
+        raw_nodes, raw_edges, raw_inputs, raw_outputs = raw
         id_to_index: dict[int, int] = {}
         kinds: list[GeneratorKind] = []
         for entry in sorted(raw_nodes, key=lambda e: _int_field(e, "id")):
@@ -458,6 +498,13 @@ class DiagramBuilder:
     one. The finished diagram keeps each spliced gadget's ``Node``
     objects; a node made by ``node``, or one that ``leg`` grew, gets a
     new ``Node``, as does a gadget node listed as a plain tuple.
+
+    When every leg is wired and no degree is negative, each endpoint is
+    used once, so ``finish`` lays each edge at its lower end in the
+    canonical order (inputs, then node ports by (node, port), then
+    outputs) with no sort, and numbers the edges in one pass, noting
+    each port's edge. The diagram gets that wiring with its edges, so
+    its constructor skips the sort and its compile skips the walk.
     """
 
     def __init__(self) -> None:
@@ -560,14 +607,12 @@ class DiagramBuilder:
         outputs: list[NodePort] = (),
     ) -> Diagram:
         used, degrees = self._used, self._degrees
-        ends: list[tuple[Endpoint, NodePort]] = []
-        for side, stubs in (("in", inputs), ("out", outputs)):
-            for pos, stub in enumerate(stubs):
+        for stubs in (inputs, outputs):
+            for stub in stubs:
                 self._allocated(stub)
                 if stub in used:
                     raise ValueError(f"leg {stub} is already connected")
                 used.add(stub)
-                ends.append((BoundaryPort(side, pos), NodePort(*stub)))
         # used holds only allocated legs, each once, so it holds them all
         # exactly when it is as large as their count. Only a shortfall is
         # worth a scan, for the first dangling port to name.
@@ -580,14 +625,49 @@ class DiagramBuilder:
         # one a gadget listed as a plain tuple, gets a new one. tuple.__new__
         # makes a named tuple without its Python-level constructor.
         new = tuple.__new__
-        nodes = [
+        nodes = tuple([
             node if type(node) is Node else new(Node, pair)
             for node, pair in zip(self._nodes, zip(self._kinds, degrees))
-        ]
-        edges = [(new(NodePort, a), new(NodePort, b)) for a, b in self._edges]
-        return Diagram(
-            nodes=tuple(nodes),
-            edges=tuple(edges + ends),
-            n_in=len(inputs),
-            n_out=len(outputs),
-        )
+        ])
+        n_in, n_out = len(inputs), len(outputs)
+        if min(degrees, default=0) < 0:
+            # The scan passes a shortfall only for a negative degree. Then
+            # not every leg can be vouched for, so the diagram sorts its
+            # edges itself and its compile walks them.
+            edges = [(new(NodePort, a), new(NodePort, b)) for a, b in self._edges]
+            for side, stubs in (("in", inputs), ("out", outputs)):
+                edges += [(BoundaryPort(side, p), new(NodePort, s)) for p, s in enumerate(stubs)]
+            return Diagram(nodes=nodes, edges=tuple(edges), n_in=n_in, n_out=n_out)
+
+        # Every endpoint is used once, so each has its own place in the
+        # canonical order: inputs by position, then node ports by (node,
+        # port), port p of node i at base[i] + p, then outputs. An edge is
+        # laid at its lower end, listed first, and notes its higher end.
+        base = list(accumulate(degrees, initial=n_in))
+        top = base[-1]
+        laid: list = [None] * top
+        higher = [0] * top
+        for a, b in self._edges:
+            ka, kb = base[a[0]] + a[1], base[b[0]] + b[1]
+            if ka < kb:
+                laid[ka], higher[ka] = (new(NodePort, a), new(NodePort, b)), kb
+            else:
+                laid[kb], higher[kb] = (new(NodePort, b), new(NodePort, a)), ka
+        for pos, stub in enumerate(inputs):
+            laid[pos] = (new(BoundaryPort, ("in", pos)), new(NodePort, stub))
+            higher[pos] = base[stub[0]] + stub[1]
+        for pos, stub in enumerate(outputs):
+            k = base[stub[0]] + stub[1]
+            laid[k], higher[k] = (new(NodePort, stub), new(BoundaryPort, ("out", pos))), top + pos
+        # One pass numbers the edges in that order and puts each edge's
+        # number at both its ends.
+        wire = [0] * (top + n_out)
+        for w, k in enumerate(compress(range(top), laid)):
+            wire[k] = wire[higher[k]] = w
+        wiring = ([wire[s:t] if s < t else () for s, t in pairwise(base)], wire[:n_in], wire[top:])
+        # The diagram still goes through its constructor, which sees the
+        # wiring and keeps the edges in the order given.
+        d = Diagram.__new__(Diagram)
+        d.__dict__["_wiring"] = wiring
+        d.__init__(nodes=nodes, edges=tuple(filter(None, laid)), n_in=n_in, n_out=n_out)
+        return d

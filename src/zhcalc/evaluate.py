@@ -17,14 +17,17 @@ its index, so every table on it keeps only the entries with that bit,
 the index is never summed, and no plugged diagram is built.
 
 Each call splits into a compile and a run. The compile (``_plan``)
-checks the diagram's shape in its one walk over the edges, fuses its
-wires and lists each factor node's legs as (index, parity) pairs; it
-calls ``validate`` only to list a faulty diagram's problems, and it does
-not depend on pins. The order depends only on which indices each table
-holds, never on its entries, so a plan's first run of each order finds
-that order's elimination path on the blocks' index masks alone, with
-the boundary indices kept open (``_path``): a list of steps, each the
-slots of the factors to join, the index to sum and the result's slot.
+reads which edge each node port and boundary position sits on (the
+diagram's wiring: ``DiagramBuilder.finish`` hands it over with the
+edges, and any other diagram finds it, and its shape faults, in one
+walk over its edges), fuses the wires and lists each factor node's legs
+as (index, parity) pairs; it calls ``validate`` only to list a faulty
+diagram's problems, and it does not depend on pins. The order depends
+only on which indices each table holds, never on its entries, so a
+plan's first run of each order finds that order's elimination path on
+the blocks' index masks alone, with the boundary indices kept open
+(``_path``): a list of steps, each the slots of the factors to join,
+the index to sum and the result's slot.
 The first run also spreads the kept blocks' tables once, unpinned, for
 both orders' paths. Every run then slices those tables by its pins and
 replays the steps; a pin fixes only a boundary index, which no step
@@ -66,7 +69,7 @@ from dataclasses import dataclass, field
 from itertools import compress, product
 from typing import Iterable, Iterator, Sequence, Union
 
-from .diagram import ArityMismatch, Diagram, GeneratorKind, NodePort
+from .diagram import ArityMismatch, Diagram, GeneratorKind
 from .scalar import ExactScalar, ONE, SQRT2, TWO, HALF, ZERO, sqrt2_pow
 
 DEFAULT_MAX_BOUNDARY = 22
@@ -542,37 +545,24 @@ _last_plan: tuple[weakref.ref, _Plan] | None = None
 
 
 def _plan(d: Diagram) -> _Plan:
-    """Check ``d``'s shape in one walk over its edges, fuse its wires
-    into indices and list its factor nodes' legs; or return the last
-    plan, if it was made for ``d``. ``validate`` is called only to list a
-    faulty diagram's problems for the InvalidDiagram message."""
+    """Fuse ``d``'s wires into indices and list its factor nodes' legs;
+    or return the last plan, if it was made for ``d``. Each port's wire
+    is read from ``d``'s wiring, which ``finish`` handed over or one walk
+    over the edges finds, and indices are numbered in one forward pass
+    over the wires. ``validate`` is called only to list a faulty
+    diagram's problems for the InvalidDiagram message."""
     global _last_plan
     last = _last_plan  # read once, so another thread's plan is never mixed in
     if last is not None and last[0]() is d:
         return last[1]
 
-    # One walk over the edges gives each node leg and boundary position
-    # its wire and notes any fault: a node, port or position out of range
-    # or used twice, or an unknown side. Then every slot is filled iff
-    # the endpoints number as many as the slots.
-    nodes, edges = d.nodes, d.edges
-    node_slots = [[-1] * degree if degree > 0 else () for _, degree in nodes]
-    in_wire, out_wire = [-1] * d.n_in, [-1] * d.n_out
-    n_nodes, faulty = len(nodes), False
-    for widx, edge in enumerate(edges):
-        for ep in edge:
-            if type(ep) is NodePort:
-                node, port = ep
-                slots = node_slots[node] if 0 <= node < n_nodes else ()
-            else:
-                side, port = ep
-                slots = in_wire if side == "in" else out_wire if side == "out" else ()
-            if 0 <= port < len(slots) and slots[port] < 0:
-                slots[port] = widx
-            else:
-                faulty = True
-    if faulty or 2 * len(edges) != sum(map(len, node_slots)) + len(in_wire) + len(out_wire):
+    # Each node leg and boundary position's wire: handed over by finish,
+    # or found in one walk over the edges, which also notes any fault.
+    wiring = d._wiring
+    if wiring is None:
         raise _invalid(d)
+    node_slots, in_wire, out_wire = wiring
+    nodes, n_wires = d.nodes, len(d.edges)
 
     # Spider fusion: the legs of a white spider or white not carry one
     # bit, so their wires form one index, named by its lowest wire. A
@@ -580,8 +570,8 @@ def _plan(d: Diagram) -> _Plan:
     # dark not sqrt(2) times a NOT wire, so each joins its two wires too,
     # the not with parity 1. find(w) gives w's index and the parity of w
     # against it; a union closing an odd cycle makes the diagram zero.
-    root = list(range(len(edges)))
-    flip = [0] * len(edges)
+    root = list(range(n_wires))
+    flip = [0] * n_wires
 
     def find(w: int) -> tuple[int, int]:
         parity = 0
@@ -595,7 +585,7 @@ def _plan(d: Diagram) -> _Plan:
 
     # One loop over the nodes, with the kinds read into locals once (an
     # enum attribute costs more than the rest of a node's visit). It finds
-    # the one fault the walk cannot see: a star of nonzero degree, whose
+    # the one fault the wiring cannot show: a star of nonzero degree, whose
     # slots may all be filled, or which has none. Each union puts the
     # higher index under the lower, so that bit(first leg) ^ bit(leg) == p.
     # White nots and enumerated nodes become factors, listed by id; legless
@@ -634,10 +624,19 @@ def _plan(d: Diagram) -> _Plan:
             else:
                 root[a], flip[a] = b, pa ^ pb
                 a, pa = b, pb
-    # Indices are numbered densely in the order of their lowest wires: a
-    # class's lowest wire is its root, and the first of it that w meets.
-    number: dict[int, int] = {}
-    index_of = [(number.setdefault(i, len(number)), p) for i, p in map(find, range(len(edges)))]
+    # Indices are numbered densely in the order of their lowest wires, in
+    # one forward pass: a class's lowest wire is its root, and every other
+    # wire's parent is a lower wire, whose index and parity are final by
+    # the time the pass reaches it.
+    index_of: list[tuple[int, int]] = []
+    n_indices = 0
+    for w, (up, p) in enumerate(zip(root, flip)):
+        if up == w:
+            index_of.append((n_indices, 0))
+            n_indices += 1
+        else:
+            i, q = index_of[up]
+            index_of.append((i, q ^ p))
 
     # A fused white not keeps one leg for its sign. Each factor's legs
     # are (index, parity) pairs; readers lists the factors reading each
@@ -704,7 +703,7 @@ def _plan(d: Diagram) -> _Plan:
     # at import) to its count, sqrt(2) per fused dark generator, and 2 per
     # traced loop (a fused index that no node and no boundary position
     # reads); zero if the fusion closed an odd NOT cycle.
-    loops = len(number) - len(readers.keys() | boundary)
+    loops = n_indices - len(readers.keys() | boundary)
     powers = [(SQRT2, root2s), (TWO, loops)]
     for kind, value in _LEGLESS_VALUES:
         count = legless.count(kind)

@@ -180,10 +180,13 @@ def _tables(
 ) -> Iterator[int]:
     """phi's truth tables over the last ``width`` of ``names`` with ``pins``
     fixed, one per valuation of the names before them, in lexicographic
-    order. A repeated name takes the value of its last position, as in
-    ``assignments``; a name both pinned and in ``names`` is refused."""
+    order. A repeated name, or one both pinned and in ``names``, is
+    refused."""
     program = _postorder(phi)
     position = {name: i for i, name in enumerate(names)}
+    if len(position) < len(names):
+        repeated = next(name for i, name in enumerate(names) if position[name] != i)
+        raise ValueError(f"variable {_brief(repeated)} is listed twice")
     clash = position.keys() & pins.keys()
     if clash:
         raise ValueError(f"variables both pinned and counted: {_brief(sorted(clash))}")
@@ -299,6 +302,8 @@ def model_counts(
 
     One truth table covers the counted names and as many leading ones as
     fit, so a table yields several counts or a count sums several tables.
+    A name listed twice across ``leading`` and ``variables`` raises
+    ValueError on the first count.
     """
     counted = len(_bounded(variables))
     names = [*leading, *variables]
@@ -328,9 +333,9 @@ def count_sat(
     fixed, from one pass of its post-order over truth tables.
 
     `variables` and `pins` together must cover every variable occurring
-    in phi, and no name may be in both; `variables` may contain extra
-    names, and each unused name doubles the count of an otherwise
-    satisfiable formula.
+    in phi, and no name may be in both or twice in `variables` (either
+    raises ValueError); `variables` may contain extra names, and each
+    unused name doubles the count of an otherwise satisfiable formula.
     """
     return next(model_counts(phi, (), variables, pins))
 
@@ -338,11 +343,11 @@ def count_sat(
 def satisfying_assignments(
     phi: Formula, variables: tuple[str, ...] | list[str]
 ) -> list[str]:
-    """Satisfying assignments as bitstrings in variable-list order."""
+    """Satisfying assignments as bitstrings in variable-list order; a name
+    listed twice raises ValueError."""
     names = _bounded(variables)
     width = min(len(names), _TABLE_BITS)
-    last = {name: i for i, name in enumerate(names)}
-    shifts = [len(names) - 1 - last[name] for name in names]
+    shifts = range(len(names) - 1, -1, -1)
     out = []
     for prefix, table in enumerate(_tables(phi, names, {}, width)):
         while table:

@@ -394,6 +394,27 @@ class TestErrors:
         assert main(command + [path]) == 2
         self._assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ({"inputs": 5}, "error: 'inputs' must be a JSON array, got 5"),
+            ({"nodes": "abc"}, "error: 'nodes' must be a JSON array, got 'abc'"),
+        ],
+        ids=["int-inputs", "string-nodes"],
+    )
+    def test_diagram_key_of_the_wrong_type(self, tmp_path, capsys, patch, message) -> None:
+        document = {"nodes": [], "edges": [], "inputs": [], "outputs": []} | patch
+        path = write_json(tmp_path / "bad.json", document)
+        assert main(["eval", path]) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+
+    def test_diagram_key_missing(self, tmp_path, capsys) -> None:
+        path = write_json(tmp_path / "bad.json", {"nodes": [], "edges": [], "inputs": []})
+        assert main(["eval", path]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: diagram JSON is missing a required key: 'outputs'"
+        ]
+
     def test_non_object_instance(self, tmp_path, capsys) -> None:
         path = write_json(tmp_path / "list.json", [])
         assert main(["verify", path]) == 2

@@ -841,3 +841,104 @@ class TestFinish:
         b = DiagramBuilder()
         d = b.finish(outputs=b.splice(odd))
         assert d == odd
+
+
+def assert_laid_out(d: Diagram) -> None:
+    """``d`` came from ``finish`` with its edges in canonical order and
+    its wiring handed over: re-sorting its edges from any order, each
+    flipped, changes nothing, and the wiring is what the walk gives its
+    JSON round trip."""
+    assert "_wiring" in d.__dict__
+    flipped = tuple((b, a) for a, b in reversed(d.edges))
+    resorted = Diagram(nodes=d.nodes, edges=flipped, n_in=d.n_in, n_out=d.n_out)
+    assert "_wiring" not in resorted.__dict__
+    assert d.edges == resorted.edges
+    assert [tuple(map(type, e)) for e in d.edges] == [tuple(map(type, e)) for e in resorted.edges]
+    copy = Diagram.from_json(json.loads(json.dumps(d.to_json())))
+    assert "_wiring" not in copy.__dict__
+    assert d._wiring == copy._wiring is not None
+
+
+class TestFinishLayout:
+    """``finish`` lays the edges out in canonical order without a sort,
+    and records each node port's and boundary position's edge."""
+
+    def test_an_output_stub_on_a_spliced_node(self) -> None:
+        b = DiagramBuilder()
+        z = b.node(Z)
+        first = b.leg(z)
+        outs = b.splice(generator(X, 1, 2), [b.leg(z)])
+        d = b.finish(inputs=[first], outputs=outs[::-1])
+        assert_laid_out(d)
+        assert d.edges == (
+            (inb(0), np(0, 0)),
+            (np(0, 1), np(1, 0)),
+            (np(1, 1), outb(1)),
+            (np(1, 2), outb(0)),
+        )
+        assert d._wiring == ([[0, 1], [1, 2, 3]], [0], [3, 2])
+
+    def test_a_leg_grown_on_a_spliced_node(self) -> None:
+        b = DiagramBuilder()
+        b.star()
+        out = b.splice(generator(Z, 0, 1))[0]
+        z = b.node(Z)
+        b.connect(b.leg(z), b.leg(1))  # the higher end first
+        b.connect(b.leg(z), b.leg(z))  # a self-loop
+        d = b.finish(outputs=[out])
+        assert_laid_out(d)
+        assert d.edges == ((np(1, 0), outb(0)), (np(1, 1), np(2, 0)), (np(2, 1), np(2, 2)))
+        assert d._wiring == ([(), [0, 1], [1, 2, 2]], [], [0])
+
+    def test_inputs_and_outputs_on_one_node(self) -> None:
+        b = DiagramBuilder()
+        z = b.node(Z)
+        legs = [b.leg(z) for _ in range(5)]
+        d = b.finish(inputs=[legs[3], legs[0]], outputs=[legs[4], legs[1], legs[2]])
+        assert_laid_out(d)
+        assert d._wiring == ([[1, 2, 3, 0, 4]], [0, 1], [4, 2, 3])
+
+    def test_random_builders(self) -> None:
+        rng = random.Random(24)
+        gadgets = [generator(kind, m, n) for kind in (Z, X) for m in range(3) for n in range(3)]
+        gadgets.append(Diagram(nodes=((STAR, 0), (Z, 2)), edges=((np(1, 0), np(1, 1)),),
+                               n_in=0, n_out=0))
+        for _ in range(200):
+            b = DiagramBuilder()
+            free: list = []
+            for _ in range(rng.randint(0, 8)):
+                if rng.random() < 0.5:
+                    gadget = rng.choice(gadgets)
+                    if gadget.n_in > len(free):
+                        continue
+                    picked = rng.sample(range(len(free)), gadget.n_in)
+                    inputs = [free[i] for i in picked]
+                    free = [leg for i, leg in enumerate(free) if i not in picked]
+                    free += b.splice(gadget, inputs)
+                elif free and rng.random() < 0.3:
+                    free.append(b.leg(rng.choice(free).node))  # grow a node
+                else:
+                    node = b.node(rng.choice((Z, X, STAR)))
+                    if b._kinds[node] is not STAR:
+                        free += [b.leg(node) for _ in range(rng.randint(1, 4))]
+            rng.shuffle(free)
+            while len(free) > 3 and rng.random() < 0.6:
+                b.connect(free.pop(), free.pop())
+            cut = rng.randint(0, len(free))
+            assert_laid_out(b.finish(inputs=free[:cut], outputs=free[cut:]))
+
+    def test_a_shortfall_keeps_the_sort_and_the_walk(self) -> None:
+        # A negative degree lets finish vouch for no leg, so the diagram
+        # is sorted on construction and its wiring is walked on use.
+        odd = Diagram(
+            nodes=(Node(kind=Z, degree=-1), Node(kind=X, degree=1), Node(kind=Z, degree=2)),
+            edges=((np(2, 1), np(1, 0)), (np(2, 0), outb(0))),
+            n_in=0,
+            n_out=1,
+        )
+        b = DiagramBuilder()
+        d = b.finish(outputs=b.splice(odd))
+        assert "_wiring" not in d.__dict__
+        assert d == odd
+        assert d.edges == ((np(1, 0), np(2, 1)), (np(2, 0), outb(0)))
+        assert d._wiring == ([(), [0], [1, 0]], [], [1])

@@ -8,6 +8,7 @@ all edge assignments. The engine must match both exactly.
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import random
@@ -33,7 +34,7 @@ from zhcalc.diagram import (
     tensor,
     tensor_all,
 )
-from zhcalc.encode import counting_state, stars
+from zhcalc.encode import counting_state, encode_formula, stars
 from zhcalc.evaluate import (
     BadArity,
     BasisState,
@@ -963,6 +964,58 @@ class TestCompiledPlans:
             copy = Diagram.from_json(json.loads(json.dumps(d.to_json())))
             assert copy == d
             assert evaluate_module._plan(d) == evaluate_module._plan(copy)
+
+    def test_built_diagrams_arrive_laid_out_and_wired(self) -> None:
+        # finish lays the edges out in the order the constructor's sort
+        # gives and hands over each port's wire, which equals the walk's
+        # on the parsed copy; the plans agree too.
+        built = []
+        for seed in (7, 424242):
+            built += [seeded_counting_state(seed + i, 5 + i % 2, 10 + 2 * (i % 2))[0]
+                      for i in range(6)]
+            inst = random_sat_compare(random.Random(seed))
+            pair = build_state_eq(inst)
+            built += [pair.d1, pair.d2]
+            built += [
+                build_contains_entry(inst, k)
+                for k in (DyadicK(0, 0), DyadicK(1, 0), DyadicK(3, 2), DyadicK(-5, 3))
+            ]
+            built += [build_circuit_extraction(inst.rho, inst.x_vars + inst.z_vars)]
+            built += [encode_formula(inst.psi, inst.x_vars + inst.y_vars)]
+        for d in built:
+            assert "_wiring" in d.__dict__
+            flipped = tuple((b, a) for a, b in reversed(d.edges))
+            resorted = Diagram(nodes=d.nodes, edges=flipped, n_in=d.n_in, n_out=d.n_out)
+            assert d.edges == resorted.edges
+            assert [tuple(map(type, e)) for e in d.edges] == [
+                tuple(map(type, e)) for e in resorted.edges
+            ]
+            copy = Diagram.from_json(json.loads(json.dumps(d.to_json())))
+            assert d._wiring == copy._wiring is not None
+            assert evaluate_module._plan(d) == evaluate_module._plan(copy)
+
+    def test_a_finished_diagram_compiles_without_a_walk(self, monkeypatch) -> None:
+        walked = []
+        walk = Diagram.__dict__["_wiring"].func
+
+        def recording(d):
+            walked.append(d)
+            return walk(d)
+
+        patched = functools.cached_property(recording)
+        patched.__set_name__(Diagram, "_wiring")
+        monkeypatch.setattr(Diagram, "_wiring", patched)
+        d, count = seeded_counting_state(7, 6, 12)
+        # The wiring came with the edges, so the constructor did not sort
+        # them and the compile reads it instead of walking them.
+        assert "_wiring" in d.__dict__
+        assert evaluate(d).entry("1", "") == ExactScalar(count, 0, 0)
+        assert walked == []
+        # A parsed copy has no wiring until its compile walks its edges.
+        copy = Diagram.from_json(json.loads(json.dumps(d.to_json())))
+        assert "_wiring" not in copy.__dict__
+        assert evaluate(copy) == evaluate(d)
+        assert walked == [copy]
 
     def test_cached_plan_keeps_no_diagram_alive(self) -> None:
         d = generator(H, 1, 2)
