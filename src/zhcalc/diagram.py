@@ -499,10 +499,9 @@ class DiagramBuilder:
     objects; a node made by ``node``, or one that ``leg`` grew, gets a
     new ``Node``, as does a gadget node listed as a plain tuple.
 
-    When every leg is wired and no degree is negative, each endpoint is
-    used once, so ``finish`` lays each edge at its lower end in the
-    canonical order (inputs, then node ports by (node, port), then
-    outputs) with no sort, and numbers the edges in one pass, noting
+    Once every leg is wired, each endpoint is used once, so ``finish``
+    lays each edge at its lower end in the canonical order (inputs, then
+    node ports by (node, port), then outputs) with no sort, and numbers the edges in one pass, noting
     each port's edge. The diagram gets that wiring with its edges, so
     its constructor skips the sort and its compile skips the walk.
     """
@@ -630,20 +629,12 @@ class DiagramBuilder:
             for node, pair in zip(self._nodes, zip(self._kinds, degrees))
         ])
         n_in, n_out = len(inputs), len(outputs)
-        if min(degrees, default=0) < 0:
-            # The scan passes a shortfall only for a negative degree. Then
-            # not every leg can be vouched for, so the diagram sorts its
-            # edges itself and its compile walks them.
-            edges = [(new(NodePort, a), new(NodePort, b)) for a, b in self._edges]
-            for side, stubs in (("in", inputs), ("out", outputs)):
-                edges += [(BoundaryPort(side, p), new(NodePort, s)) for p, s in enumerate(stubs)]
-            return Diagram(nodes=nodes, edges=tuple(edges), n_in=n_in, n_out=n_out)
-
         # Every endpoint is used once, so each has its own place in the
         # canonical order: inputs by position, then node ports by (node,
-        # port), port p of node i at base[i] + p, then outputs. An edge is
+        # port), port p of node i at base[i] + p, then outputs. A negative
+        # degree counts as none, as no leg of it is allocated. An edge is
         # laid at its lower end, listed first, and notes its higher end.
-        base = list(accumulate(degrees, initial=n_in))
+        base = list(accumulate((g if g > 0 else 0 for g in degrees), initial=n_in))
         top = base[-1]
         laid: list = [None] * top
         higher = [0] * top

@@ -927,9 +927,10 @@ class TestFinishLayout:
             cut = rng.randint(0, len(free))
             assert_laid_out(b.finish(inputs=free[:cut], outputs=free[cut:]))
 
-    def test_a_shortfall_keeps_the_sort_and_the_walk(self) -> None:
-        # A negative degree lets finish vouch for no leg, so the diagram
-        # is sorted on construction and its wiring is walked on use.
+    def test_a_negative_degree_is_laid_out_as_no_leg(self) -> None:
+        # A node of negative degree has no allocated leg, so the layout
+        # gives it no place and the rest keep the sort's order and the
+        # walk's wiring.
         odd = Diagram(
             nodes=(Node(kind=Z, degree=-1), Node(kind=X, degree=1), Node(kind=Z, degree=2)),
             edges=((np(2, 1), np(1, 0)), (np(2, 0), outb(0))),
@@ -938,7 +939,7 @@ class TestFinishLayout:
         )
         b = DiagramBuilder()
         d = b.finish(outputs=b.splice(odd))
-        assert "_wiring" not in d.__dict__
         assert d == odd
+        assert_laid_out(d)
         assert d.edges == ((np(1, 0), np(2, 1)), (np(2, 0), outb(0)))
         assert d._wiring == ([(), [0], [1, 0]], [], [1])

@@ -423,6 +423,7 @@ def test_tables_split_at_the_size_constant(monkeypatch, table_bits):
             assert list(model_counts(phi, leading, counted)) == want
         assert count_sat(phi, names) == _reference_count(phi, names)
         assert satisfying_assignments(phi, names) == _reference_models(phi, names)
+        assert satisfying_assignments(phi, names + ["z9"]) == _reference_models(phi, names + ["z9"])
         with pytest.raises(ValueError, match="variable 'x1' is listed twice"):
             satisfying_assignments(phi, names + ["x1"])
 
