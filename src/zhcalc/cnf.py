@@ -30,7 +30,7 @@ this.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from zhcalc.formula import (
     And,
@@ -45,6 +45,7 @@ from zhcalc.formula import (
     Var,
     _fold,
 )
+from zhcalc.frozen import Frozen
 
 DEFAULT_MAX_CLAUSES = 4096
 
@@ -57,8 +58,7 @@ class BadLength(ValueError):
     """A word's length is not of the form 2*k*k for a positive k."""
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     index: int
     positive: bool
 
@@ -69,12 +69,17 @@ class Literal:
 Clause = frozenset[Literal]
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(Frozen):
     """Conjunction of disjunction clauses over an ordered variable list."""
 
+    __match_args__ = ("variables", "clauses")
     variables: tuple[str, ...]
     clauses: tuple[Clause, ...]
+
+    def __init__(self, variables: tuple[str, ...], clauses: tuple[Clause, ...]) -> None:
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "clauses", clauses)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = len(self.variables)
@@ -174,11 +179,15 @@ def _distribute(left: _Clauses, right: _Clauses) -> _Clauses:
 # 0-1 words
 
 
-@dataclass(frozen=True)
-class Word01:
+class Word01(Frozen):
     """A bit word of length 2*k*k encoding k clauses over k variables."""
 
+    __match_args__ = ("bits",)
     bits: tuple[int, ...]
+
+    def __init__(self, bits: tuple[int, ...]) -> None:
+        object.__setattr__(self, "bits", bits)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if any(bit not in (0, 1) for bit in self.bits):

@@ -16,7 +16,7 @@ Two constructions used by the counting reductions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from zhcalc.formula import (
     And,
@@ -50,8 +50,7 @@ def _fresh_names(used: set[str], count: int, base: str) -> list[str]:
     return names
 
 
-@dataclass(frozen=True)
-class ConcatResult:
+class ConcatResult(NamedTuple):
     formula: Formula
     variables: tuple[str, ...]
     low_bits: int

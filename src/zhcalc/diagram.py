@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import reprlib
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, compress, pairwise
 from operator import itemgetter
 from typing import NamedTuple, Sequence, Union
+
+from .frozen import Frozen
 
 
 class GeneratorKind(Enum):
@@ -70,8 +71,7 @@ class Node(NamedTuple):
     degree: int
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     detail: str
 
@@ -79,8 +79,7 @@ class Violation:
         return f"{self.code}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(Frozen):
     """An immutable open diagram with ``n_in`` inputs and ``n_out`` outputs.
 
     Nodes are indexed densely: node ``i`` is ``nodes[i]``. Edge order is
@@ -92,10 +91,24 @@ class Diagram:
     such a diagram skips the sort.
     """
 
+    __match_args__ = ("nodes", "edges", "n_in", "n_out")
     nodes: tuple[Node, ...]
     edges: tuple[tuple[Endpoint, Endpoint], ...]
     n_in: int
     n_out: int
+
+    def __init__(
+        self,
+        nodes: tuple[Node, ...],
+        edges: tuple[tuple[Endpoint, Endpoint], ...],
+        n_in: int,
+        n_out: int,
+    ) -> None:
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "n_in", n_in)
+        object.__setattr__(self, "n_out", n_out)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -230,10 +243,12 @@ class Diagram:
     def from_json(cls, data: dict) -> "Diagram":
         """Parse the JSON form. Structural shape errors raise ValueError;
         graph-level problems are left for ``validate``."""
+        if not isinstance(data, dict):
+            raise ValueError(f"diagram JSON must be an object, got {_brief(data)}")
         keys = ("nodes", "edges", "inputs", "outputs")
         try:
             raw = [data[key] for key in keys]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ValueError(f"diagram JSON is missing a required key: {exc}") from exc
         for key, value in zip(keys, raw):
             if type(value) is not list:
@@ -501,9 +516,10 @@ class DiagramBuilder:
 
     Once every leg is wired, each endpoint is used once, so ``finish``
     lays each edge at its lower end in the canonical order (inputs, then
-    node ports by (node, port), then outputs) with no sort, and numbers the edges in one pass, noting
-    each port's edge. The diagram gets that wiring with its edges, so
-    its constructor skips the sort and its compile skips the walk.
+    node ports by (node, port), then outputs) with no sort, and numbers
+    the edges in one pass, noting each port's edge. The diagram gets
+    that wiring with its edges, so its constructor skips the sort and
+    its compile skips the walk.
     """
 
     def __init__(self) -> None:

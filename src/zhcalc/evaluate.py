@@ -65,11 +65,11 @@ from __future__ import annotations
 
 import heapq
 import weakref
-from dataclasses import dataclass, field
 from itertools import compress, product
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .diagram import ArityMismatch, Diagram, GeneratorKind
+from .frozen import Frozen
 from .scalar import ExactScalar, ONE, SQRT2, TWO, HALF, ZERO, sqrt2_pow
 
 DEFAULT_MAX_BOUNDARY = 22
@@ -88,11 +88,15 @@ class BadArity(ValueError):
     """A generator was given leg counts it does not admit."""
 
 
-@dataclass(frozen=True)
-class BasisState:
+class BasisState(Frozen):
     """A computational basis bitstring, e.g. |010>."""
 
+    __match_args__ = ("bits",)
     bits: tuple[int, ...]
+
+    def __init__(self, bits: tuple[int, ...]) -> None:
+        object.__setattr__(self, "bits", bits)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
@@ -112,8 +116,7 @@ class BasisState:
         return len(self.bits)
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(Frozen):
     """A sparse exact matrix indexed by (row, column) bitstrings.
 
     Rows have length ``n_out`` and columns ``n_in``; absent entries are
@@ -121,9 +124,18 @@ class ExactMatrix:
     semantic equality.
     """
 
+    __match_args__ = ("n_out", "n_in", "entries")
     n_out: int
     n_in: int
     entries: dict[tuple[str, str], ExactScalar]
+
+    def __init__(
+        self, n_out: int, n_in: int, entries: dict[tuple[str, str], ExactScalar]
+    ) -> None:
+        object.__setattr__(self, "n_out", n_out)
+        object.__setattr__(self, "n_in", n_in)
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         kept: dict[tuple[str, str], ExactScalar] = {}
@@ -294,13 +306,13 @@ def interpret_generator(kind: GeneratorKind, m: int, n: int) -> ExactMatrix:
 # -- contraction engine ------------------------------------------------------
 
 
-@dataclass
-class _Factor:
+class _Factor(NamedTuple):
     """A sparse tensor over the indices set in ``mask``: bit i of a key is
     index i's bit, and ``table[key] = v`` is the value v * sqrt(2)**r / 2**e.
     All values of one generator share one exponent and one sqrt(2) parity,
     so one (e, r) pair serves the whole table, the engine works on plain
-    ints and it never canonicalizes."""
+    ints and it never canonicalizes. The engine makes its factors with
+    ``tuple.__new__``, skipping the named tuple's Python-level constructor."""
 
     mask: int
     table: dict[int, int]
@@ -383,7 +395,7 @@ def _node_factor(
             _TEMPLATES[key] = template
     rows, e, r = template
     table = {sum(compress(weights, bits)): v for bits, v in rows}
-    return _slice(_Factor(sum(weights), table, e, r), pinmask, pinval)
+    return _slice(tuple.__new__(_Factor, (sum(weights), table, e, r)), pinmask, pinval)
 
 
 def _slice(factor: _Factor, pinmask: int, pinval: int) -> _Factor:
@@ -395,7 +407,7 @@ def _slice(factor: _Factor, pinmask: int, pinval: int) -> _Factor:
         return factor
     want = pinval & cut
     table = {k ^ want: v for k, v in factor.table.items() if k & cut == want}
-    return _Factor(factor.mask ^ cut, table, factor.e, factor.r)
+    return tuple.__new__(_Factor, (factor.mask ^ cut, table, factor.e, factor.r))
 
 
 def _template(
@@ -436,7 +448,7 @@ def _template(
     mask = 0
     for w, _ in legs:
         mask |= w
-    return _Factor(mask, {k: v for k, v in table.items() if v}, e, r)
+    return tuple.__new__(_Factor, (mask, {k: v for k, v in table.items() if v}, e, r))
 
 
 # Each kind's value as a legless node (a white not's is zero: it has no
@@ -484,7 +496,7 @@ def _join(f1: _Factor, f2: _Factor, summed: Iterable[int]) -> _Factor:
         for k2, v2 in buckets.get(k1 & shared, ()):
             k = (k1 | k2) & keep
             table[k] = get(k, 0) + v1 * v2
-    return _Factor(keep, {k: v for k, v in table.items() if v}, e, r)
+    return tuple.__new__(_Factor, (keep, {k: v for k, v in table.items() if v}, e, r))
 
 
 def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
@@ -501,8 +513,7 @@ def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
     return _contract(d, order)
 
 
-@dataclass(frozen=True)
-class _Path:
+class _Path(NamedTuple):
     """One order's elimination of a plan, found on index masks alone.
 
     Each step is (slots, index, out, mask): join the factors in ``slots``
@@ -516,8 +527,7 @@ class _Path:
     tables: list[_Factor | None]
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(Frozen):
     """What every contraction of one valid diagram shares, whatever it
     pins. Indices are numbered densely in the order of their lowest
     wires. Each boundary position is an (index, parity) pair, reading the
@@ -530,12 +540,30 @@ class _Plan:
     ``paths`` maps an order to its ``_Path``, made on the order's first
     run that gets past the size checks and stored in one assignment."""
 
+    __match_args__ = ("too_wide", "in_wire", "out_wire", "blocks", "scalar", "paths")
+    _compared = __match_args__[:-1]  # paths is a cache, out of == and repr
     too_wide: str | None
     in_wire: list[tuple[int, int]]
     out_wire: list[tuple[int, int]]
     blocks: list[tuple[tuple, tuple[int, ...]]]
     scalar: tuple[int, int, int]
-    paths: dict[str, _Path] = field(default_factory=dict, compare=False, repr=False)
+    paths: dict[str, _Path]
+
+    def __init__(
+        self,
+        too_wide: str | None,
+        in_wire: list[tuple[int, int]],
+        out_wire: list[tuple[int, int]],
+        blocks: list[tuple[tuple, tuple[int, ...]]],
+        scalar: tuple[int, int, int],
+        paths: dict[str, _Path] | None = None,
+    ) -> None:
+        object.__setattr__(self, "too_wide", too_wide)
+        object.__setattr__(self, "in_wire", in_wire)
+        object.__setattr__(self, "out_wire", out_wire)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "scalar", scalar)
+        object.__setattr__(self, "paths", {} if paths is None else paths)
 
 
 # The last plan made, with a weak reference to its diagram: a diagram

@@ -18,12 +18,12 @@ stacks, so depth is bounded by memory, not by the recursion limit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from typing import Callable, Iterator, TypeVar, Union
+from typing import Callable, Iterator, NamedTuple, TypeVar, Union
 
 from .diagram import _brief
+from .frozen import Frozen
 
 DEFAULT_MAX_VARS = 20
 
@@ -44,44 +44,57 @@ class ParseError(FormulaError):
     pass
 
 
-@dataclass(frozen=True)
-class Var:
+# Formula nodes are named tuples, whose fields are read in C. Each
+# compares by class as well as fields (below), so And(a, b) != Or(a, b)
+# and no node equals a plain tuple.
+
+
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     value: bool
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(NamedTuple):
     child: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+class And(NamedTuple):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(NamedTuple):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(NamedTuple):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Iff:
+class Iff(NamedTuple):
     left: "Formula"
     right: "Formula"
 
+
+def _node_eq(self: Formula, other: object) -> bool:
+    return type(self) is type(other) and tuple.__eq__(self, other)
+
+
+def _node_ne(self: Formula, other: object) -> bool:
+    return not _node_eq(self, other)
+
+
+def _node_hash(self: Formula) -> int:
+    return hash((type(self), *self))
+
+
+for _kind in (Var, Const, Not, And, Or, Implies, Iff):
+    _kind.__eq__, _kind.__ne__, _kind.__hash__ = _node_eq, _node_ne, _node_hash
 
 Formula = Union[Var, Const, Not, And, Or, Implies, Iff]
 Valuation = dict[str, bool]
@@ -464,8 +477,7 @@ def format_formula(phi: Formula) -> str:
 # Comparison instances
 
 
-@dataclass(frozen=True)
-class SatCompareInstance:
+class SatCompareInstance(Frozen):
     """Shared x-variables, psi over x+y, rho over x+z.
 
     The decision problem: is there an assignment v of x1..xn with
@@ -473,10 +485,18 @@ class SatCompareInstance:
     Both n and m are at most ``DEFAULT_MAX_VARS``.
     """
 
+    __match_args__ = ("n", "m", "psi", "rho")
     n: int
     m: int
     psi: Formula
     rho: Formula
+
+    def __init__(self, n: int, m: int, psi: Formula, rho: Formula) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "rho", rho)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.n < 0 or self.m < 0:

@@ -21,7 +21,6 @@ and the acceptance suite share it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from typing import Sequence
 
@@ -52,6 +51,7 @@ from .formula import (
     Var,
     count_sat,
 )
+from .frozen import Frozen
 from .scalar import ExactScalar
 from .solve import solve_contains_entry, solve_sat_compare, solve_state_eq
 
@@ -60,13 +60,18 @@ class ContractViolation(RuntimeError):
     """A builder's construction-time self-check failed."""
 
 
-@dataclass(frozen=True)
-class StateEqInstance:
+class StateEqInstance(Frozen):
     """Two diagrams with matching boundaries, asked whether some basis
     input sends them to the same state."""
 
+    __match_args__ = ("d1", "d2")
     d1: Diagram
     d2: Diagram
+
+    def __init__(self, d1: Diagram, d2: Diagram) -> None:
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "d2", d2)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if (self.d1.n_in, self.d1.n_out) != (self.d2.n_in, self.d2.n_out):
@@ -85,8 +90,7 @@ class StateEqInstance:
         )
 
 
-@dataclass(frozen=True)
-class DyadicK:
+class DyadicK(Frozen):
     """The dyadic rational c/2^d in lowest form.
 
     Lowest form means the denominator is genuinely needed: either d is
@@ -94,8 +98,14 @@ class DyadicK:
     ``make`` to normalize arbitrary numerator/exponent pairs.
     """
 
+    __match_args__ = ("c", "d")
     c: int
     d: int
+
+    def __init__(self, c: int, d: int) -> None:
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.d < 0:

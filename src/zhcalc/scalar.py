@@ -14,7 +14,7 @@ division; halving is done by multiplying with HALF (the star scalar).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .frozen import Frozen
 
 SQRT2_FLOAT = 1.4142135623730951
 
@@ -23,13 +23,19 @@ class NotDyadic(ValueError):
     """Raised when a value with a sqrt(2) component is read as dyadic."""
 
 
-@dataclass(frozen=True)
-class ExactScalar:
+class ExactScalar(Frozen):
     """The value (a + b*sqrt(2)) / 2**e, stored canonically."""
 
+    __match_args__ = ("a", "b", "e")
     a: int
     b: int
-    e: int = 0
+    e: int
+
+    def __init__(self, a: int, b: int, e: int = 0) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "e", e)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         a, b, e = self.a, self.b, self.e

@@ -415,6 +415,19 @@ class TestErrors:
             "error: diagram JSON is missing a required key: 'outputs'"
         ]
 
+    @pytest.mark.parametrize("command", [["eval"], ["solve", "is-zero"]])
+    @pytest.mark.parametrize(
+        "document, shown",
+        [([1], "[1]"), ("abc", "'abc'"), (5, "5"), (None, "None")],
+        ids=["list", "string", "int", "null"],
+    )
+    def test_non_object_diagram(self, tmp_path, capsys, command, document, shown) -> None:
+        path = write_json(tmp_path / "bad.json", document)
+        assert main(command + [path]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: diagram JSON must be an object, got {shown}"
+        ]
+
     def test_non_object_instance(self, tmp_path, capsys) -> None:
         path = write_json(tmp_path / "list.json", [])
         assert main(["verify", path]) == 2

@@ -233,7 +233,7 @@ def test_sat_compare_instance_refuses_before_naming(monkeypatch):
 # -- deep inputs ---------------------------------------------------------------
 # Each walk keeps its own stack, so none of these may hit the recursion
 # limit. Deep trees are compared through format_formula text, since the
-# dataclass-generated __eq__ and __repr__ recurse.
+# nodes' __eq__ and __repr__ recurse.
 
 DEEP = 10_000
 
