@@ -279,7 +279,7 @@ def from_dimacs(text: str) -> CnfFormula:
             continue
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[1] != "cnf" or not all(c.isdecimal() for c in parts[2:]):
                 raise ValueError(f"bad problem line: {line!r}")
             n = int(parts[2])
             continue
@@ -288,6 +288,8 @@ def from_dimacs(text: str) -> CnfFormula:
         nums = [int(tok) for tok in line.split()]
         if nums[-1] != 0:
             raise ValueError(f"clause not 0-terminated: {line!r}")
+        if 0 in nums[:-1]:
+            raise ValueError(f"0 before the end of a clause: {line!r}")
         clauses.append(
             frozenset(Literal(abs(v) - 1, v > 0) for v in nums[:-1])
         )

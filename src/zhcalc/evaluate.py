@@ -42,12 +42,13 @@ read as v * sqrt(2)**r / 2**e under one exponent e and one sqrt(2)
 parity r per table, so a join buckets and merges keys by masks and
 multiplies ints; two odd parities make an even one, a power of two
 lower. Factors without indices are multiplied into one scalar
-instead. That scalar starts from the plan's, which folds in
-what no pin can change: legless nodes and two-leg dark wires never
-become factors, and the compile raises each legless kind's value and
-sqrt(2) to their counts, times 2 per traced loop, or zero for an odd
-cycle. Values are canonicalized into ``ExactScalar`` only on exit, when
-the ``ExactMatrix`` is assembled.
+instead, held in the same form: an int v, an exponent e and a parity
+r. That scalar starts from the plan's, which folds in what no pin can
+change: legless nodes and two-leg dark wires never become factors, and
+the compile raises each legless kind's index-free factor to its count,
+adds sqrt(2) per dark wire and 2 per traced loop, or makes v zero for
+an odd cycle. Values are canonicalized into ``ExactScalar`` only on
+exit, when the ``ExactMatrix`` is assembled.
 The compile also groups factor nodes into blocks: two nodes that alone
 read a closed index, each of at most 8 legs and together reading at most
 8 other indices, form a block, and any other node is a block of one. A
@@ -68,9 +69,9 @@ import weakref
 from itertools import compress, product
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .diagram import ArityMismatch, Diagram, GeneratorKind
+from .diagram import ArityMismatch, Diagram, GeneratorKind, _brief
 from .frozen import Frozen
-from .scalar import ExactScalar, ONE, SQRT2, TWO, HALF, ZERO, sqrt2_pow
+from .scalar import ExactScalar, ONE, TWO, HALF, ZERO, sqrt2_pow
 
 DEFAULT_MAX_BOUNDARY = 22
 
@@ -202,6 +203,8 @@ class ExactMatrix(Frozen):
 
     @classmethod
     def from_json(cls, data: dict) -> "ExactMatrix":
+        if not isinstance(data, dict):
+            raise ValueError(f"matrix JSON must be an object, got {_brief(data)}")
         try:
             entries = {
                 (e["row"], e["col"]): ExactScalar.from_json(e["val"])
@@ -451,22 +454,9 @@ def _template(
     return tuple.__new__(_Factor, (mask, {k: v for k, v in table.items() if v}, e, r))
 
 
-# Each kind's value as a legless node (a white not's is zero: it has no
-# support), read once for every compile's scalar.
-_LEGLESS_VALUES = [
-    (kind, dict(_generator_support(kind, 0)).get((), ZERO)) for kind in GeneratorKind
-]
-
-
-def _power(a: int, b: int, n: int) -> tuple[int, int]:
-    """(a + b*sqrt(2))**n by repeated squaring, as an (a, b) pair."""
-    ra, rb = 1, 0
-    while n:
-        if n & 1:
-            ra, rb = ra * a + 2 * rb * b, ra * b + rb * a
-        a, b = a * a + 2 * b * b, 2 * a * b
-        n >>= 1
-    return ra, rb
+# Each kind's legless node as an index-free factor (a white not's and a
+# dark not's tables are empty: zero), built once for every compile's scalar.
+_LEGLESS = [(kind, _template(kind, (), 0, 0)) for kind in GeneratorKind]
 
 
 def _join(f1: _Factor, f2: _Factor, summed: Iterable[int]) -> _Factor:
@@ -534,9 +524,10 @@ class _Plan(Frozen):
     bit of its fused index XOR the parity, and each block of factor
     nodes is its table's key and the bits 1 << i of the indices i it
     keeps (see ``_node_factor``). ``too_wide`` is the refusal a node
-    with too many enumerated legs earns, and ``scalar`` = (a, b, e) is
-    the factor no pin can change: legless nodes, fused two-leg dark
-    generators and traced loops, or zero for an odd cycle of NOT wires.
+    with too many enumerated legs earns, and ``scalar`` = (v, e, r) is
+    the factor no pin can change, v * sqrt(2)**r / 2**e with r in {0, 1}
+    as in every table: legless nodes, fused two-leg dark generators and
+    traced loops, or v = 0 for an odd cycle of NOT wires.
     ``paths`` maps an order to its ``_Path``, made on the order's first
     run that gets past the size checks and stored in one assignment."""
 
@@ -727,22 +718,20 @@ def _plan(d: Diagram) -> _Plan:
         summed = tuple([slot for i, slot in slot_of.items() if i in lone])
         blocks.append(((summed, *key), tuple([1 << i for i in slot_of if i not in lone])))
 
-    # The scalar no pin can change: each legless kind's value (read once,
-    # at import) to its count, sqrt(2) per fused dark generator, and 2 per
-    # traced loop (a fused index that no node and no boundary position
-    # reads); zero if the fusion closed an odd NOT cycle.
+    # The scalar no pin can change, v * sqrt(2)**r / 2**e as in every
+    # table: each legless kind's factor (built once, at import) to its
+    # count, sqrt(2) per fused dark generator, and 2 per traced loop (a
+    # fused index that no node and no boundary position reads); zero if
+    # the fusion closed an odd NOT cycle. Two sqrt(2)s make a 2, folded
+    # once at the end.
     loops = n_indices - len(readers.keys() | boundary)
-    powers = [(SQRT2, root2s), (TWO, loops)]
-    for kind, value in _LEGLESS_VALUES:
+    v, e, r = (1 - odd) << loops, 0, root2s
+    for kind, factor in _LEGLESS:
         count = legless.count(kind)
-        if count:
-            powers.append((value, count))
-    sa, sb, se = 1 - odd, 0, 0
-    for value, count in powers:
-        fa, fb = _power(value.a, value.b, count)
-        sa, sb = sa * fa + 2 * sb * fb, sa * fb + sb * fa
-        se += value.e * count
-    plan = _Plan(too_wide, in_wire, out_wire, blocks, (sa, sb, se))
+        v *= factor.table.get(0, 0) ** count
+        e += factor.e * count
+        r += factor.r * count
+    plan = _Plan(too_wide, in_wire, out_wire, blocks, (v, e - r // 2, r % 2))
     _last_plan = (weakref.ref(d), plan)
     return plan
 
@@ -841,8 +830,8 @@ def _contract(
         in_wire = in_wire[len(bits) :]
     else:
         out_wire = out_wire[len(bits) :]
-    sa, sb, se = plan.scalar
-    if clash or not (sa or sb):
+    v, e, r = plan.scalar
+    if clash or not v:
         return ExactMatrix._trusted(len(out_wire), len(in_wire), {})
     path = plan.paths.get(order)
     if path is None:
@@ -871,8 +860,9 @@ def _contract(
 
     # Only open indices remain. Fold the surviving factors into one
     # sparse table in slot order, then expand the open indices no factor
-    # holds. Values become ExactScalar only here, times the plan's scalar,
-    # the wireless factors (left with no index) and sqrt(2)**r. Each
+    # holds. Values become ExactScalar only here: each held entry times
+    # the plan's scalar and the wireless factors (left with no index),
+    # whose sqrt(2) parities and the held one's are folded once. Each
     # boundary bit is its index's bit XOR its parity, so each (key, free
     # bits) pair lands on its own entry; an open wire on a fixed index
     # reads the fixed bit.
@@ -886,15 +876,17 @@ def _contract(
         combined = _join(combined, factor, ())
     free = [1 << i for i in sorted(open_indices) if not combined.mask >> i & 1]
     for factor in wireless:
-        v = factor.table.get(0, 0)  # an empty table is zero
-        sa, sb = (2 * sb * v, sa * v) if factor.r else (sa * v, sb * v)
-        se += factor.e
-    if combined.r:
-        sa, sb = 2 * sb, sa
+        v *= factor.table.get(0, 0)  # an empty table is zero
+        e += factor.e
+        r += factor.r
+    r += combined.r
+    e += combined.e - r // 2
+    r %= 2
 
     entries: dict[tuple[str, str], ExactScalar] = {}
-    for key, v in combined.table.items() if sa or sb else ():
-        value = ExactScalar(v * sa, v * sb, combined.e + se)
+    for key, x in combined.table.items() if v else ():
+        x *= v
+        value = ExactScalar(0, x, e) if r else ExactScalar(x, 0, e)
         key |= pinval
         for fill in product((0, 1), repeat=len(free)):
             full = key | sum(compress(free, fill))

@@ -536,7 +536,7 @@ class SatCompareInstance(Frozen):
     @classmethod
     def from_json(cls, obj: dict) -> "SatCompareInstance":
         if not isinstance(obj, dict):
-            raise ValueError(f"instance JSON must be an object, not {_brief(obj)}")
+            raise ValueError(f"instance JSON must be an object, got {_brief(obj)}")
         n, m, psi, rho = (obj.get(key) for key in ("n", "m", "psi", "rho"))
         if type(n) is not int or type(m) is not int:
             raise ValueError(f"n and m must be integers, not {_brief(n)} and {_brief(m)}")

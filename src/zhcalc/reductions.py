@@ -33,6 +33,7 @@ from .diagram import (
     compose,
     generator,
     tensor,
+    _brief,
 )
 from .encode import (
     GateBlock,
@@ -85,6 +86,8 @@ class StateEqInstance(Frozen):
 
     @classmethod
     def from_json(cls, data: dict) -> "StateEqInstance":
+        if not isinstance(data, dict):
+            raise ValueError(f"state-eq JSON must be an object, got {_brief(data)}")
         return cls(
             d1=Diagram.from_json(data["d1"]), d2=Diagram.from_json(data["d2"])
         )

@@ -258,8 +258,12 @@ class TestDimacs:
             ("1 -2 0\np cnf 2 1\n", "clause before problem line"),
             ("p cnf 2\n1 0\n", "bad problem line: 'p cnf 2'"),
             ("p dnf 2 1\n1 0\n", "bad problem line: 'p dnf 2 1'"),
+            ("p cnf -3 0\n", "bad problem line: 'p cnf -3 0'"),
+            ("p cnf 2 2\n1 0 2 0\n", "0 before the end of a clause: '1 0 2 0'"),
         ],
-        ids=["no-p-line", "clause-first", "short-p-line", "not-cnf"],
+        ids=[
+            "no-p-line", "clause-first", "short-p-line", "not-cnf", "negative-count", "inner-zero"
+        ],
     )
     def test_rejects_a_bad_problem_line(self, text, message) -> None:
         with pytest.raises(ValueError) as info:

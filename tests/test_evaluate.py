@@ -84,8 +84,11 @@ def _never_enumerate(kind, degree):
     raise AssertionError(f"enumerated the support of a degree-{degree} {kind}")
 
 
-def _never_power(a, b, n):
-    raise AssertionError("a run raised a power")
+class _Unreadable:
+    """Stands in for a table that no run may read."""
+
+    def __iter__(self):
+        raise AssertionError("a run recomputed the plan scalar")
 
 
 # -- oracle 1: ket expansion over Fraction pairs -----------------------------
@@ -866,18 +869,59 @@ class TestScalarAccumulator:
         row = apply_basis(d, (0, 1, 1), "out")
         assert (row.n_out, row.n_in) == (0, 2) and row.is_zero
 
-    def test_runs_reuse_the_plan_scalar(self, monkeypatch) -> None:
-        # Stars, a legless spider, a traced loop and a fused sqrt(2) wire
-        # are folded once per diagram; a later run raises no power.
-        parts = [stars(3), generator(Z, 0, 0), self_looped(Z, 2), generator(X, 1, 1)]
+    @pytest.mark.parametrize(
+        "parts, corner",
+        [
+            # Named by the total sqrt(2) parity and its sources: the plan
+            # (fused two-leg or legless dark spiders), wireless factors
+            # (self-looped dark spiders of four legs, sqrt(2) * 2 each)
+            # and the held result (an open dark spider of four legs).
+            pytest.param(
+                [stars(3), generator(Z, 0, 0), self_looped(Z, 2), generator(X, 1, 1)],
+                ExactScalar(0, 1, 1),
+                id="1-plan",
+            ),
+            pytest.param([stars(3), generator(Z, 0, 0), self_looped(Z, 2)], HALF, id="0"),
+            pytest.param([self_looped(X, 2)], ExactScalar(0, 2, 0), id="1-wireless"),
+            pytest.param([generator(X, 2, 2)], ExactScalar(0, 1, 1), id="1-held"),
+            pytest.param(
+                [generator(X, 0, 0), self_looped(X, 2)], ExactScalar(8, 0, 0), id="2-plan-wireless"
+            ),
+            pytest.param([generator(X, 1, 1), generator(X, 2, 2)], ONE, id="2-plan-held"),
+            pytest.param(
+                [self_looped(X, 2), generator(X, 2, 2)], TWO, id="2-wireless-held"
+            ),
+            pytest.param(
+                [generator(X, 1, 1), self_looped(X, 2), generator(X, 2, 2)],
+                ExactScalar(0, 2, 0),
+                id="3-all",
+            ),
+            pytest.param(
+                [generator(X, 0, 0), generator(X, 1, 1), generator(X, 2, 2)],
+                ExactScalar(0, 2, 0),
+                id="3-plan-held",
+            ),
+            pytest.param(
+                [self_looped(X, 2), generator(X, 2, 2), generator(ZNOT, 0, 0)], ZERO, id="zero"
+            ),
+        ],
+    )
+    def test_runs_reuse_the_plan_scalar(self, monkeypatch, parts, corner) -> None:
+        # Stars, legless nodes, traced loops and fused sqrt(2) wires are
+        # folded once per diagram, and the three sources' sqrt(2)
+        # parities once per run. A later run, in the other order, or a
+        # pinned run reads no legless factor: it reuses the plan scalar.
         d = tensor_all(parts + [generator(H, 1, 1)])
         want = evaluate(d)
         assert want.entries == brute_evaluate(d)
-        monkeypatch.setattr(evaluate_module, "_power", _never_power)
+        assert want.entry("0" * d.n_out, "0" * d.n_in) == corner
+        assert evaluate_module._plan(d).scalar[2] in (0, 1)
+        monkeypatch.setattr(evaluate_module, "_LEGLESS", _Unreadable())
         assert evaluate(d, order="sequential") == want
-        column = apply_basis(d, (1, 0), "in")
+        col = "10" * (d.n_in // 2) + "1" * (d.n_in % 2)
+        column = apply_basis(d, [int(b) for b in col], "in")
         assert column.entries == {
-            (row, ""): v for (row, col), v in want.entries.items() if col == "10"
+            (row, ""): v for (row, c), v in want.entries.items() if c == col
         }
 
     def test_joins_are_wired(self, monkeypatch) -> None:

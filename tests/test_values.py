@@ -13,7 +13,7 @@ import pytest
 
 from zhcalc.cnf import CnfFormula, Literal, Word01, to_cnf
 from zhcalc.counting import ConcatResult
-from zhcalc.diagram import Violation, identity
+from zhcalc.diagram import Diagram, Violation, identity
 from zhcalc.evaluate import BasisState, ExactMatrix, _Factor, _Path, _Plan
 from zhcalc.formula import (
     FALSE,
@@ -198,3 +198,24 @@ def test_substitute_takes_the_same_branch(phi, folded) -> None:
 def test_to_cnf_takes_the_same_branch(phi, clauses) -> None:
     cnf = to_cnf(phi, ["x", "y"])
     assert cnf.clauses == tuple(frozenset(Literal(*lit) for lit in c) for c in clauses)
+
+
+@pytest.mark.parametrize(
+    "reader, name",
+    [
+        (Diagram.from_json, "diagram"),
+        (ExactMatrix.from_json, "matrix"),
+        (SatCompareInstance.from_json, "instance"),
+        (StateEqInstance.from_json, "state-eq"),
+    ],
+    ids=["diagram", "matrix", "instance", "state-eq"],
+)
+@pytest.mark.parametrize(
+    "document, shown",
+    [([1], "[1]"), ("abc", "'abc'"), (5, "5"), (None, "None")],
+    ids=["list", "string", "int", "null"],
+)
+def test_json_readers_refuse_a_non_object(reader, name, document, shown) -> None:
+    with pytest.raises(ValueError) as caught:
+        reader(document)
+    assert str(caught.value) == f"{name} JSON must be an object, got {shown}"
