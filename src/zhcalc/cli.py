@@ -13,6 +13,7 @@ or absent decision from a solve subcommand, 2 for any error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -224,6 +225,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+@functools.cache  # built once per process: in-process callers reuse it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zhcalc",

@@ -30,6 +30,7 @@ this.
 from __future__ import annotations
 
 import math
+import re
 from typing import NamedTuple
 
 from zhcalc.formula import (
@@ -270,6 +271,11 @@ def to_dimacs(cnf: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A clause line's tokens: each an optional minus and ASCII digits (int()
+# alone would also take "+1", "1_0" and other scripts' digits).
+_CLAUSE_LINE = re.compile(r"-?[0-9]+(?:\s+-?[0-9]+)*")
+
+
 def from_dimacs(text: str) -> CnfFormula:
     n = None
     clauses = []
@@ -285,6 +291,8 @@ def from_dimacs(text: str) -> CnfFormula:
             continue
         if n is None:
             raise ValueError("clause before problem line")
+        if not _CLAUSE_LINE.fullmatch(line):
+            raise ValueError(f"bad clause line: {line!r}")
         nums = [int(tok) for tok in line.split()]
         if nums[-1] != 0:
             raise ValueError(f"clause not 0-terminated: {line!r}")

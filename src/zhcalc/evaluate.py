@@ -27,7 +27,10 @@ only on which indices each table holds, never on its entries, so a
 plan's first run of each order finds that order's elimination path on
 the blocks' index masks alone, with the boundary indices kept open
 (``_path``): a list of steps, each the slots of the factors to join,
-the index to sum and the result's slot.
+the closed indices to sum and the result's slot. A step sums the index
+it was chosen for, and also every other closed index that its result
+alone holds, so no index waits in a table for a later step and every
+step joins at least two factors.
 The first run also spreads the kept blocks' tables once, unpinned, for
 both orders' paths. Every run then slices those tables by its pins and
 replays the steps; a pin fixes only a boundary index, which no step
@@ -387,10 +390,8 @@ def _node_factor(
         joined, *rest = [
             _template(kind, [(1 << s, p) for s, p in legs], 0, 0) for kind, legs in members
         ]
-        if summed and not rest:
-            joined, rest = _UNIT, [joined]
-        for factor in rest:
-            joined = _join(joined, factor, summed)
+        if summed or rest:  # a lone node sums its slots against the unit factor
+            joined = _join(joined, rest[0] if rest else _UNIT, summed)
         slots = joined.wires
         rows = [(tuple([k >> s & 1 for s in slots]), v) for k, v in joined.table.items()]
         template = rows, joined.e, joined.r
@@ -506,14 +507,16 @@ def evaluate(d: Diagram, *, order: str = "greedy") -> ExactMatrix:
 class _Path(NamedTuple):
     """One order's elimination of a plan, found on index masks alone.
 
-    Each step is (slots, index, out, mask): join the factors in ``slots``
-    from the first, sum ``index`` out at the last join, and put the
-    result, over the indices of ``mask`` on an open run, in slot ``out``.
+    Each step is (slots, summed, out, mask): join the factors in ``slots``
+    (at least two) from the first, sum the indices in ``summed`` out at
+    the last join, and put the result, over the indices of ``mask`` on an
+    open run, in slot ``out``. ``summed`` leads with the index the step
+    was chosen for, then every other closed index its result alone holds.
     Slots 0 to len(blocks) - 1 hold the plan's blocks in order, and step k
     fills slot len(blocks) + k. ``tables`` holds each kept block's open
     factor, shared by both orders' paths, or None for a wide block."""
 
-    steps: list[tuple[tuple[int, ...], int, int, int]]
+    steps: list[tuple[tuple[int, ...], tuple[int, ...], int, int]]
     tables: list[_Factor | None]
 
 
@@ -740,10 +743,14 @@ def _path(plan: _Plan, order: str) -> _Path:
     """Run bucket elimination on the blocks' index masks: pop the cheapest
     closed index (fewest indices spanned by its holders; "greedy" breaks
     a tie by the lowest index, "sequential" by the highest) and join its
-    holders, lowest slot first, into a new slot; a result with no index
-    left holds nothing. Boundary indices stay open, so pins, which only
-    fix boundary indices, leave every step valid. The tables are the
-    other order's, or are built here, the kept blocks' ones unpinned."""
+    holders, lowest slot first, into a new slot. The step also sums every
+    other closed index that the new slot alone holds, and the heap skips
+    an index so summed; a result with no index left holds nothing. Blocks
+    sum the indices one of them alone reads, so every closed index on the
+    heap has two holders and every step joins at least two slots.
+    Boundary indices stay open, so pins, which only fix boundary
+    indices, leave every step valid. The tables are the other order's,
+    or are built here, the kept blocks' ones unpinned."""
     blocks = plan.blocks
     masks: dict[int, int] = {}
     holders: dict[int, set[int]] = {}
@@ -763,10 +770,12 @@ def _path(plan: _Plan, order: str) -> _Path:
 
     heap = [(cost(i), tie * i) for i in holders if i not in boundary]
     heapq.heapify(heap)
-    steps: list[tuple[tuple[int, ...], int, int, int]] = []
+    steps: list[tuple[tuple[int, ...], tuple[int, ...], int, int]] = []
     while heap:
         score, key = heapq.heappop(heap)
         i = tie * key
+        if i not in holders:
+            continue  # summed by an earlier step
         current = cost(i)
         if current != score:
             heapq.heappush(heap, (current, key))
@@ -776,13 +785,19 @@ def _path(plan: _Plan, order: str) -> _Path:
         for slot in slots:
             mask |= masks.pop(slot)
         mask &= ~(1 << i)
-        out = len(blocks) + len(steps)
-        steps.append((tuple(slots), i, out, mask))
+        summed, out = [i], len(blocks) + len(steps)
+        for j in _indices(mask):
+            held = holders[j]
+            held.difference_update(slots)
+            if held or j in boundary:
+                held.add(out)
+            else:
+                del holders[j]
+                summed.append(j)
+                mask ^= 1 << j
+        steps.append((tuple(slots), tuple(summed), out, mask))
         if mask:
             masks[out] = mask
-            for j in _indices(mask):
-                holders[j].difference_update(slots)
-                holders[j].add(out)
     done = next(iter(plan.paths.values()), None)
     if done is not None:
         return _Path(steps, done.tables)
@@ -807,7 +822,8 @@ def _contract(
 
     A run replays the plan's path for ``order``, made on its first run:
     it slices the path's kept tables by its pins, builds each wide block
-    on its pinned bits, and joins slot by slot as the steps say."""
+    on its pinned bits, and joins slot by slot as the steps say, summing
+    each step's closed indices at its last join."""
     plan = _plan(d)
     unpinned = d.n_in + d.n_out - len(bits)
     if unpinned > DEFAULT_MAX_BOUNDARY:
@@ -838,10 +854,9 @@ def _contract(
         path = plan.paths[order] = _path(plan, order)
 
     # Slot s holds block s's table, sliced to the pins. Each step pops its
-    # slots, joins them from the first and sums its index at the last
-    # join; a lone slot sums it against the unit factor (no indices,
-    # table {0: 1}). Every operand holds the step's closed index, so no
-    # pin leaves it wireless.
+    # two or more slots, joins them from the first and sums its closed
+    # indices at the last join. Every operand holds the step's first
+    # index, which is closed, so no pin leaves it wireless.
     pinmask, pinval = sum(1 << i for i in fixed), sum(b << i for i, b in fixed.items())
     factors = dict(enumerate(path.tables))
     for slot, table in factors.items():
@@ -850,13 +865,11 @@ def _contract(
         elif table.mask & pinmask:
             factors[slot] = _slice(table, pinmask, pinval)
     pop = factors.pop
-    for slots, i, out, _ in path.steps:
-        joined, *rest = [pop(slot) for slot in slots]
-        if not rest:
-            joined, rest = _UNIT, [joined]
-        for k, factor in enumerate(rest, 1):
-            joined = _join(joined, factor, (i,) if k == len(rest) else ())
-        factors[out] = joined
+    for slots, summed, out, _ in path.steps:
+        joined, *rest, last = [pop(slot) for slot in slots]
+        for factor in rest:
+            joined = _join(joined, factor, ())
+        factors[out] = _join(joined, last, summed)
 
     # Only open indices remain. Fold the surviving factors into one
     # sparse table in slot order, then expand the open indices no factor

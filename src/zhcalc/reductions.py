@@ -88,9 +88,11 @@ class StateEqInstance(Frozen):
     def from_json(cls, data: dict) -> "StateEqInstance":
         if not isinstance(data, dict):
             raise ValueError(f"state-eq JSON must be an object, got {_brief(data)}")
-        return cls(
-            d1=Diagram.from_json(data["d1"]), d2=Diagram.from_json(data["d2"])
-        )
+        try:
+            d1, d2 = data["d1"], data["d2"]
+        except KeyError as exc:
+            raise ValueError(f"state-eq JSON is missing a required key: {exc}") from exc
+        return cls(d1=Diagram.from_json(d1), d2=Diagram.from_json(d2))
 
 
 class DyadicK(Frozen):
@@ -132,7 +134,15 @@ class DyadicK(Frozen):
 
     @classmethod
     def from_json(cls, data: dict) -> "DyadicK":
-        return cls(c=int(data["c"]), d=int(data["d"]))
+        if not isinstance(data, dict):
+            raise ValueError(f"dyadic JSON must be an object, got {_brief(data)}")
+        try:
+            c, d = data["c"], data["d"]
+        except KeyError as exc:
+            raise ValueError(f"dyadic JSON is missing a required key: {exc}") from exc
+        if type(c) is not int or type(d) is not int:
+            raise ValueError(f"c and d must be integers, not {_brief(c)} and {_brief(d)}")
+        return cls(c=c, d=d)
 
     def __str__(self) -> str:
         if self.d == 0:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zhcalc.cli import _parse_k, main
+from zhcalc.cli import _build_parser, _parse_k, main
 from zhcalc.diagram import Diagram, compose, generator, GeneratorKind, tensor
 from zhcalc.encode import GateBlock, encode_formula, gate_gadget
 from zhcalc.evaluate import ExactMatrix, evaluate
@@ -65,6 +65,19 @@ class TestParseK:
             _parse_k("1/0")
         with pytest.raises(ValueError):
             _parse_k("x")
+
+
+class TestParser:
+    def test_two_calls_build_it_once(self, capsys) -> None:
+        # An in-process caller, such as these tests' fuzz loops, reuses the
+        # parser instead of building its subcommands on every call.
+        _build_parser.cache_clear()
+        outputs = []
+        for _ in range(2):
+            assert main(["count", "x1 | x2", "--vars", "x1,x2"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert _build_parser.cache_info().misses == 1
+        assert outputs[0] == outputs[1] == "state: 3|1> + |0>\ncount: 3\noracle: 3\n"
 
 
 class TestCount:

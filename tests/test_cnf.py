@@ -260,9 +260,12 @@ class TestDimacs:
             ("p dnf 2 1\n1 0\n", "bad problem line: 'p dnf 2 1'"),
             ("p cnf -3 0\n", "bad problem line: 'p cnf -3 0'"),
             ("p cnf 2 2\n1 0 2 0\n", "0 before the end of a clause: '1 0 2 0'"),
+            ("p cnf 2 1\n1 x 0\n", "bad clause line: '1 x 0'"),
+            ("p cnf 10 1\n1_0 0\n", "bad clause line: '1_0 0'"),
         ],
         ids=[
-            "no-p-line", "clause-first", "short-p-line", "not-cnf", "negative-count", "inner-zero"
+            "no-p-line", "clause-first", "short-p-line", "not-cnf", "negative-count", "inner-zero",
+            "non-integer-token", "underscored-token",
         ],
     )
     def test_rejects_a_bad_problem_line(self, text, message) -> None:

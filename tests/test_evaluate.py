@@ -709,6 +709,109 @@ print(checked, differ)
         # The two orders' paths are two routes, not one under two names.
         assert checked > 500 and differ > 0
 
+    def test_steps_sum_every_closed_index_once_a_slot_alone_holds_it(
+        self, capped_child
+    ) -> None:
+        # Replays each path on index masks: every step joins two or more
+        # slots, all holding its first index; it sums exactly the indices
+        # it drops, none of them on the boundary or held by another slot;
+        # and no closed index it keeps is held by its result alone.
+        code = LADDER_STATES + """
+import random, sys
+from zhcalc.corpus import random_diagram
+
+engine = sys.modules["zhcalc.evaluate"]
+rng = random.Random(27)
+corpus = [d for _, d in ladder_states()]
+corpus += [
+    random_diagram(rng, max_nodes=rng.randrange(2, 10), max_degree=rng.randrange(2, 11))
+    for _ in range(400)
+]
+checked = extra = 0
+for d in corpus:
+    plan = engine._plan(d)
+    boundary = {i for i, _ in plan.in_wire + plan.out_wire}
+    for order in ("greedy", "sequential"):
+        masks = {slot: sum(weights) for slot, (_, weights) in enumerate(plan.blocks)}
+        holders = {}
+        for slot, mask in masks.items():
+            for i in engine._indices(mask):
+                holders.setdefault(i, set()).add(slot)
+        closed = holders.keys() - boundary
+        done = []
+        for slots, summed, out, mask in engine._path(plan, order).steps:
+            assert len(slots) >= 2, (order, d)
+            assert not boundary.intersection(summed), (order, d)
+            assert all(masks[slot] >> summed[0] & 1 for slot in slots), (order, d)
+            joined = 0
+            for slot in slots:
+                joined |= masks.pop(slot)
+            dropped = sum(1 << i for i in set(summed))
+            assert len(set(summed)) == len(summed) and joined == mask | dropped, (order, d)
+            assert not mask & dropped, (order, d)
+            for i in engine._indices(joined):
+                holders[i].difference_update(slots)
+            for i in summed:
+                assert not holders.pop(i), (order, d)
+            for i in engine._indices(mask):
+                assert i in boundary or holders[i], (order, d)
+                holders[i].add(out)
+            masks[out] = mask
+            done += summed
+            checked += 1
+            extra += len(summed) - 1
+        assert sorted(done) == sorted(closed), (order, d)
+print(checked, extra)
+"""
+        done = capped_child(code, timeout=60)
+        assert done.returncode == 0, done.stderr[-3000:]
+        checked, extra = map(int, done.stdout.split())
+        # Steps that sum more than the index they were chosen for occur.
+        assert checked > 1000 and extra > 100, (checked, extra)
+
+    def test_medium_counting_states_in_both_orders(self, capped_child) -> None:
+        code = LADDER_STATES + """
+from zhcalc import evaluate
+from zhcalc.formula import count_sat
+from zhcalc.scalar import ExactScalar
+
+RUNGS = {(14, 30): (1, 2, 3), (16, 35): (1, 2, 3)}
+for cnf, d in ladder_states():
+    count = count_sat(cnf.to_formula(), cnf.variables)
+    for order in ("greedy", "sequential"):
+        got = evaluate(d, order=order)
+        assert got.entry("1", "") == ExactScalar(count, 0, 0), (cnf, order, count)
+        assert got.entry("0", "") == ExactScalar(2 ** len(cnf.variables) - count, 0, 0)
+"""
+        done = capped_child(code, timeout=60)
+        assert done.returncode == 0, done.stderr[-3000:]
+
+    def test_sixteen_variable_state_fills_no_full_table(self, capped_child) -> None:
+        # Summing each closed index once one slot holds it keeps the greedy
+        # order's largest table on this (16, 35) state at 34,496 entries;
+        # summing one index per step fills all 2**16.
+        code = LADDER_STATES + """
+import sys
+from zhcalc import evaluate
+
+engine = sys.modules["zhcalc.evaluate"]
+join, peak = engine._join, [0]
+
+def recording(f1, f2, summed):
+    joined = join(f1, f2, summed)
+    peak[0] = max(peak[0], len(joined.table))
+    return joined
+
+RUNGS = {(16, 35): (2,)}
+((cnf, d),) = ladder_states()
+engine._join = recording
+evaluate(d)
+print(peak[0])
+"""
+        done = capped_child(code, timeout=60)
+        assert done.returncode == 0, done.stderr[-3000:]
+        assert int(done.stdout) < 2**16
+
     def test_later_runs_build_only_wide_blocks(self, monkeypatch) -> None:
         # A contains-entry diagram beside a 9-leg box, whose table is the
         # one built per run. A later run of either order, open or pinned,

@@ -207,8 +207,9 @@ def test_to_cnf_takes_the_same_branch(phi, clauses) -> None:
         (ExactMatrix.from_json, "matrix"),
         (SatCompareInstance.from_json, "instance"),
         (StateEqInstance.from_json, "state-eq"),
+        (DyadicK.from_json, "dyadic"),
     ],
-    ids=["diagram", "matrix", "instance", "state-eq"],
+    ids=["diagram", "matrix", "instance", "state-eq", "dyadic"],
 )
 @pytest.mark.parametrize(
     "document, shown",
@@ -219,3 +220,36 @@ def test_json_readers_refuse_a_non_object(reader, name, document, shown) -> None
     with pytest.raises(ValueError) as caught:
         reader(document)
     assert str(caught.value) == f"{name} JSON must be an object, got {shown}"
+
+
+@pytest.mark.parametrize(
+    "reader, document, message",
+    [
+        (StateEqInstance.from_json, {}, "state-eq JSON is missing a required key: 'd1'"),
+        (DyadicK.from_json, {}, "dyadic JSON is missing a required key: 'c'"),
+        (DyadicK.from_json, {"c": 1}, "dyadic JSON is missing a required key: 'd'"),
+    ],
+    ids=["state-eq", "dyadic-c", "dyadic-d"],
+)
+def test_json_readers_name_a_missing_key(reader, document, message) -> None:
+    with pytest.raises(ValueError) as caught:
+        reader(document)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "document, shown",
+    [
+        ({"c": 1.5, "d": 0}, "1.5 and 0"),
+        ({"c": True, "d": 0}, "True and 0"),
+        ({"c": "3", "d": 0}, "'3' and 0"),
+        ({"c": 3, "d": 2.0}, "3 and 2.0"),
+        ({"c": 3, "d": None}, "3 and None"),
+    ],
+    ids=["float", "bool", "string", "float-exponent", "null-exponent"],
+)
+def test_dyadic_reader_takes_only_integers(document, shown) -> None:
+    # int() would read 1.5 as 1, True as 1 and "3" as 3: another value.
+    with pytest.raises(ValueError) as caught:
+        DyadicK.from_json(document)
+    assert str(caught.value) == f"c and d must be integers, not {shown}"
