@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -31,6 +32,7 @@ from .formula import (
     formula_vars,
     parse_formula,
 )
+from .frozen import _brief
 from .reductions import (
     DyadicK,
     build_circuit_extraction,
@@ -66,21 +68,22 @@ def _parse_vars(text: str) -> list[str]:
     return names
 
 
+_K = re.compile(r"\s*([-+]?[0-9]+)(?:/(2\^)?([0-9]+))?\s*", re.ASCII)
+
+
 def _parse_k(text: str) -> DyadicK:
-    """Accept an integer, c/denominator with a power-of-two denominator,
-    or the explicit c/2^d form."""
-    body = text.strip()
-    if "/" not in body:
-        return DyadicK.make(int(body), 0)
-    numerator, denominator = body.split("/", 1)
-    c = int(numerator)
-    denominator = denominator.strip()
-    if denominator.startswith("2^"):
-        return DyadicK.make(c, int(denominator[2:]))
-    value = int(denominator)
-    if value <= 0 or value & (value - 1):
-        raise ValueError(f"denominator {value} is not a power of two")
-    return DyadicK.make(c, value.bit_length() - 1)
+    """Read ``--k`` in ASCII digits: an integer, c/denominator with a
+    power-of-two denominator, or the explicit c/2^d form."""
+    match = _K.fullmatch(text)
+    if match is None:
+        raise ValueError(f"--k must be c, c/m or c/2^d in ASCII digits, got {_brief(text)}")
+    numerator, power, denominator = match.groups()
+    d = int(denominator or 0)
+    if denominator and not power:
+        if d == 0 or d & (d - 1):
+            raise ValueError(f"--k denominator {d} is not a power of two")
+        d = d.bit_length() - 1
+    return DyadicK.make(int(numerator), d)
 
 
 def _emit(document: dict) -> None:

@@ -78,16 +78,13 @@ class CnfFormula(Frozen):
     clauses: tuple[Clause, ...]
 
     def __init__(self, variables: tuple[str, ...], clauses: tuple[Clause, ...]) -> None:
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "clauses", clauses)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        n = len(self.variables)
-        for clause in self.clauses:
+        n = len(variables)
+        for clause in clauses:
             for lit in clause:
                 if not 0 <= lit.index < n:
                     raise ValueError(f"literal {lit} outside variable list")
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "clauses", clauses)
 
     @property
     def n(self) -> int:
@@ -188,10 +185,7 @@ class Word01(Frozen):
 
     def __init__(self, bits: tuple[int, ...]) -> None:
         object.__setattr__(self, "bits", bits)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if any(bit not in (0, 1) for bit in self.bits):
+        if any(bit not in (0, 1) for bit in bits):
             raise ValueError("word bits must be 0 or 1")
         if self.block_size == 0:
             raise BadLength(f"length {len(self.bits)} is not 2*k*k with k >= 1")

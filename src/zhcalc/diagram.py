@@ -23,7 +23,6 @@ degree the builder set gets a new one.
 
 from __future__ import annotations
 
-import reprlib
 from collections import Counter
 from enum import Enum
 from functools import cached_property
@@ -31,7 +30,7 @@ from itertools import accumulate, chain, compress, pairwise
 from operator import itemgetter
 from typing import NamedTuple, Sequence, Union
 
-from .frozen import Frozen
+from .frozen import Frozen, _brief, _fields
 
 
 class GeneratorKind(Enum):
@@ -243,13 +242,8 @@ class Diagram(Frozen):
     def from_json(cls, data: dict) -> "Diagram":
         """Parse the JSON form. Structural shape errors raise ValueError;
         graph-level problems are left for ``validate``."""
-        if not isinstance(data, dict):
-            raise ValueError(f"diagram JSON must be an object, got {_brief(data)}")
         keys = ("nodes", "edges", "inputs", "outputs")
-        try:
-            raw = [data[key] for key in keys]
-        except KeyError as exc:
-            raise ValueError(f"diagram JSON is missing a required key: {exc}") from exc
+        raw = _fields(data, "diagram", keys)
         for key, value in zip(keys, raw):
             if type(value) is not list:
                 raise ValueError(f"{key!r} must be a JSON array, got {_brief(value)}")
@@ -302,13 +296,6 @@ def _int_field(obj: object, key: str) -> int:
     if type(value) is not int:  # bool is an int subclass; reject it too
         raise ValueError(f"{key!r} must be an integer, got {_brief(value)}")
     return value
-
-
-def _brief(value: object) -> str:
-    """A repr of a JSON value cut to a fixed length, so that an error
-    message stays one short line however large the input."""
-    text = reprlib.repr(value)
-    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def _boundary_permutation(raw: list, side: str) -> dict[int, int]:

@@ -72,8 +72,8 @@ import weakref
 from itertools import compress, product
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
-from .diagram import ArityMismatch, Diagram, GeneratorKind, _brief
-from .frozen import Frozen
+from .diagram import ArityMismatch, Diagram, GeneratorKind
+from .frozen import Frozen, _brief, _fields
 from .scalar import ExactScalar, ONE, TWO, HALF, ZERO, sqrt2_pow
 
 DEFAULT_MAX_BOUNDARY = 22
@@ -99,13 +99,10 @@ class BasisState(Frozen):
     bits: tuple[int, ...]
 
     def __init__(self, bits: tuple[int, ...]) -> None:
-        object.__setattr__(self, "bits", bits)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-        if any(b not in (0, 1) for b in self.bits):
+        bits = tuple(int(b) for b in bits)
+        if any(b not in (0, 1) for b in bits):
             raise ValueError("basis state bits must be 0 or 1")
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def from_string(cls, text: str) -> "BasisState":
@@ -136,23 +133,18 @@ class ExactMatrix(Frozen):
     def __init__(
         self, n_out: int, n_in: int, entries: dict[tuple[str, str], ExactScalar]
     ) -> None:
-        object.__setattr__(self, "n_out", n_out)
-        object.__setattr__(self, "n_in", n_in)
-        object.__setattr__(self, "entries", entries)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         kept: dict[tuple[str, str], ExactScalar] = {}
-        for (row, col), value in self.entries.items():
-            if len(row) != self.n_out or len(col) != self.n_in:
+        for (row, col), value in entries.items():
+            if len(row) != n_out or len(col) != n_in:
                 raise ValueError(
-                    f"entry ({row!r}, {col!r}) does not match shape "
-                    f"{self.n_out}x{self.n_in}"
+                    f"entry ({row!r}, {col!r}) does not match shape {n_out}x{n_in}"
                 )
             if not (set(row) | set(col)) <= {"0", "1"}:
                 raise ValueError(f"entry ({row!r}, {col!r}) is not a bitstring pair")
             if not value.is_zero:
                 kept[(row, col)] = value
+        object.__setattr__(self, "n_out", n_out)
+        object.__setattr__(self, "n_in", n_in)
         object.__setattr__(self, "entries", kept)
 
     @classmethod
@@ -162,7 +154,9 @@ class ExactMatrix(Frozen):
         """A matrix over entries known to be bitstring pairs of its shape
         with nonzero values, such as the engine's, without re-checking them."""
         matrix = object.__new__(cls)
-        matrix.__dict__.update(n_out=n_out, n_in=n_in, entries=entries)
+        object.__setattr__(matrix, "n_out", n_out)
+        object.__setattr__(matrix, "n_in", n_in)
+        object.__setattr__(matrix, "entries", entries)
         return matrix
 
     def entry(self, row: str, col: str) -> ExactScalar:
@@ -206,16 +200,19 @@ class ExactMatrix(Frozen):
 
     @classmethod
     def from_json(cls, data: dict) -> "ExactMatrix":
-        if not isinstance(data, dict):
-            raise ValueError(f"matrix JSON must be an object, got {_brief(data)}")
-        try:
-            entries = {
-                (e["row"], e["col"]): ExactScalar.from_json(e["val"])
-                for e in data["entries"]
-            }
-            return cls(n_out=data["n_out"], n_in=data["n_in"], entries=entries)
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed matrix JSON: {exc}") from exc
+        n_out, n_in, raw = _fields(data, "matrix", ("n_out", "n_in", "entries"))
+        for key, value in (("n_out", n_out), ("n_in", n_in)):
+            if type(value) is not int or value < 0:  # bool is an int subclass; refuse it too
+                raise ValueError(f"{key!r} must be a non-negative integer, got {_brief(value)}")
+        if type(raw) is not list:
+            raise ValueError(f"'entries' must be a JSON array, got {_brief(raw)}")
+        entries = {}
+        for entry in raw:
+            row, col, val = _fields(entry, "matrix entry", ("row", "col", "val"))
+            if type(row) is not str or type(col) is not str:
+                raise ValueError(f"row and col must be strings, got {_brief((row, col))}")
+            entries[(row, col)] = ExactScalar.from_json(val)
+        return cls(n_out=n_out, n_in=n_in, entries=entries)
 
 
 def scalar_matrix(value: ExactScalar) -> ExactMatrix:

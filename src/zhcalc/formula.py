@@ -22,8 +22,7 @@ from functools import cache
 from itertools import product
 from typing import Callable, Iterator, NamedTuple, TypeVar, Union
 
-from .diagram import _brief
-from .frozen import Frozen
+from .frozen import Frozen, _brief, _fields
 
 DEFAULT_MAX_VARS = 20
 
@@ -492,23 +491,18 @@ class SatCompareInstance(Frozen):
     rho: Formula
 
     def __init__(self, n: int, m: int, psi: Formula, rho: Formula) -> None:
+        if n < 0 or m < 0:
+            raise ValueError(f"n and m must be non-negative, not {n} and {m}")
+        if max(n, m) > DEFAULT_MAX_VARS:
+            raise TooManyVariables(
+                f"n {_brief(n)} and m {_brief(m)}: each may be at most {DEFAULT_MAX_VARS}"
+            )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "rho", rho)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.m < 0:
-            raise ValueError(f"n and m must be non-negative, not {self.n} and {self.m}")
-        if max(self.n, self.m) > DEFAULT_MAX_VARS:
-            raise TooManyVariables(
-                f"n {_brief(self.n)} and m {_brief(self.m)}: each may be at most {DEFAULT_MAX_VARS}"
-            )
-        allowed_psi = set(self.x_vars) | set(self.y_vars)
-        allowed_rho = set(self.x_vars) | set(self.z_vars)
-        bad_psi = set(formula_vars(self.psi)) - allowed_psi
-        bad_rho = set(formula_vars(self.rho)) - allowed_rho
+        bad_psi = set(formula_vars(psi)).difference(self.x_vars, self.y_vars)
+        bad_rho = set(formula_vars(rho)).difference(self.x_vars, self.z_vars)
         if bad_psi or bad_rho:
             bad = f"psi {_brief(sorted(bad_psi))}, rho {_brief(sorted(bad_rho))}"
             raise ValueError(f"unexpected variables: {bad}")
@@ -535,9 +529,7 @@ class SatCompareInstance(Frozen):
 
     @classmethod
     def from_json(cls, obj: dict) -> "SatCompareInstance":
-        if not isinstance(obj, dict):
-            raise ValueError(f"instance JSON must be an object, got {_brief(obj)}")
-        n, m, psi, rho = (obj.get(key) for key in ("n", "m", "psi", "rho"))
+        n, m, psi, rho = _fields(obj, "instance", ("n", "m", "psi", "rho"))
         if type(n) is not int or type(m) is not int:
             raise ValueError(f"n and m must be integers, not {_brief(n)} and {_brief(m)}")
         if not isinstance(psi, str) or not isinstance(rho, str):

@@ -1,15 +1,16 @@
 """The base of zhcalc's immutable value classes that validate or
-canonicalise their fields.
+canonicalise their fields, and the one reader of their JSON fields.
 
-A subclass names its fields in ``__match_args__`` and writes its own
-``__init__``, which sets each field with ``object.__setattr__`` and,
-where the class has a ``__post_init__``, ends by calling it through
-``self``. ``Frozen`` compares two values by class and fields, hashes
-their fields and shows a value as ``Cls(field=value, ...)``; assigning
-or deleting an attribute raises AttributeError. A class whose last
-fields are caches lists the compared ones in ``_compared``; the rest
-stay out of ``==``, ``hash`` and ``repr``. Plain records are named
-tuples instead.
+A subclass names its fields in ``__match_args__``. Its ``__init__``
+checks its arguments and sets each field once with
+``object.__setattr__``; only ``Diagram`` also calls a ``__post_init__``,
+which the benchmark's tracer rebinds to count nodes built. ``Frozen``
+compares two values by class and fields, hashes their fields and shows
+a value as ``Cls(field=value, ...)``; assigning or deleting an attribute
+raises AttributeError. A class whose last fields are caches lists the
+compared ones in ``_compared``; the rest stay out of ``==``, ``hash``
+and ``repr``. Plain records are named tuples instead. Every
+``from_json`` reads its keys through ``_fields``.
 
 Python builds these classes without generating source, so importing
 them compiles nothing beyond this module.
@@ -17,6 +18,7 @@ them compiles nothing beyond this module.
 
 from __future__ import annotations
 
+import reprlib
 from operator import attrgetter
 
 
@@ -47,3 +49,21 @@ class Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _fields(data: object, form: str, keys: tuple[str, ...]) -> list:
+    """The values of ``keys`` in the JSON object ``data``, in order, or a
+    one-line ValueError that names the ``form`` and the first missing key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{form} JSON must be an object, got {_brief(data)}")
+    try:
+        return [data[key] for key in keys]
+    except KeyError as exc:
+        raise ValueError(f"{form} JSON is missing a required key: {exc}") from exc
+
+
+def _brief(value: object) -> str:
+    """A repr of a JSON value cut to a fixed length, so that an error
+    message stays one short line however large the input."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."

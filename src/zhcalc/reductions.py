@@ -33,7 +33,6 @@ from .diagram import (
     compose,
     generator,
     tensor,
-    _brief,
 )
 from .encode import (
     GateBlock,
@@ -52,7 +51,7 @@ from .formula import (
     Var,
     count_sat,
 )
-from .frozen import Frozen
+from .frozen import Frozen, _brief, _fields
 from .scalar import ExactScalar
 from .solve import solve_contains_entry, solve_sat_compare, solve_state_eq
 
@@ -70,28 +69,19 @@ class StateEqInstance(Frozen):
     d2: Diagram
 
     def __init__(self, d1: Diagram, d2: Diagram) -> None:
+        if (d1.n_in, d1.n_out) != (d2.n_in, d2.n_out):
+            raise ArityMismatch(
+                f"boundaries differ: {d1.n_in}->{d1.n_out} vs {d2.n_in}->{d2.n_out}"
+            )
         object.__setattr__(self, "d1", d1)
         object.__setattr__(self, "d2", d2)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if (self.d1.n_in, self.d1.n_out) != (self.d2.n_in, self.d2.n_out):
-            raise ArityMismatch(
-                f"boundaries differ: {self.d1.n_in}->{self.d1.n_out} "
-                f"vs {self.d2.n_in}->{self.d2.n_out}"
-            )
 
     def to_json(self) -> dict:
         return {"d1": self.d1.to_json(), "d2": self.d2.to_json()}
 
     @classmethod
     def from_json(cls, data: dict) -> "StateEqInstance":
-        if not isinstance(data, dict):
-            raise ValueError(f"state-eq JSON must be an object, got {_brief(data)}")
-        try:
-            d1, d2 = data["d1"], data["d2"]
-        except KeyError as exc:
-            raise ValueError(f"state-eq JSON is missing a required key: {exc}") from exc
+        d1, d2 = _fields(data, "state-eq", ("d1", "d2"))
         return cls(d1=Diagram.from_json(d1), d2=Diagram.from_json(d2))
 
 
@@ -108,15 +98,12 @@ class DyadicK(Frozen):
     d: int
 
     def __init__(self, c: int, d: int) -> None:
+        if d < 0:
+            raise ValueError("exponent must be non-negative")
+        if d > 0 and c % 2 == 0:
+            raise ValueError(f"{c}/2^{d} is not in lowest form")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.d < 0:
-            raise ValueError("exponent must be non-negative")
-        if self.d > 0 and self.c % 2 == 0:
-            raise ValueError(f"{self.c}/2^{self.d} is not in lowest form")
 
     @classmethod
     def make(cls, c: int, d: int) -> "DyadicK":
@@ -134,12 +121,7 @@ class DyadicK(Frozen):
 
     @classmethod
     def from_json(cls, data: dict) -> "DyadicK":
-        if not isinstance(data, dict):
-            raise ValueError(f"dyadic JSON must be an object, got {_brief(data)}")
-        try:
-            c, d = data["c"], data["d"]
-        except KeyError as exc:
-            raise ValueError(f"dyadic JSON is missing a required key: {exc}") from exc
+        c, d = _fields(data, "dyadic", ("c", "d"))
         if type(c) is not int or type(d) is not int:
             raise ValueError(f"c and d must be integers, not {_brief(c)} and {_brief(d)}")
         return cls(c=c, d=d)

@@ -14,7 +14,7 @@ division; halving is done by multiplying with HALF (the star scalar).
 
 from __future__ import annotations
 
-from .frozen import Frozen
+from .frozen import Frozen, _brief, _fields
 
 SQRT2_FLOAT = 1.4142135623730951
 
@@ -32,13 +32,6 @@ class ExactScalar(Frozen):
     e: int
 
     def __init__(self, a: int, b: int, e: int = 0) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "e", e)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        a, b, e = self.a, self.b, self.e
         if a == 0 and b == 0:
             e = 0
         elif e < 0:
@@ -53,8 +46,6 @@ class ExactScalar(Frozen):
             a >>= shift
             b >>= shift
             e -= shift
-        else:
-            return  # already canonical
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "e", e)
@@ -123,11 +114,25 @@ class ExactScalar(Frozen):
         return {"a": str(self.a), "b": str(self.b), "e": self.e}
 
     @classmethod
-    def from_json(cls, obj: dict) -> ExactScalar:
-        return cls(int(obj["a"]), int(obj["b"]), int(obj["e"]))
+    def from_json(cls, data: dict) -> ExactScalar:
+        """Read what ``to_json`` writes: ``a`` and ``b`` as ASCII decimal
+        strings or JSON integers, ``e`` as a non-negative JSON integer."""
+        a, b, e = _fields(data, "scalar", ("a", "b", "e"))
+        if not (_decimal(a) and _decimal(b)):
+            raise ValueError(f"a and b must be decimal integers, not {_brief(a)} and {_brief(b)}")
+        if type(e) is not int or e < 0:  # bool is an int subclass; refuse it too
+            raise ValueError(f"e must be a non-negative integer, not {_brief(e)}")
+        return cls(int(a), int(b), e)
 
     def __str__(self) -> str:
         return f"({self.a} + {self.b}*sqrt2)/2^{self.e}"
+
+
+def _decimal(value: object) -> bool:
+    """True for a JSON integer or ASCII digits after an optional minus."""
+    if type(value) is str:
+        return value.isascii() and value.removeprefix("-").isdigit()
+    return type(value) is int
 
 
 def _coerce(value: ExactScalar | int) -> ExactScalar:

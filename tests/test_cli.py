@@ -65,6 +65,10 @@ class TestParseK:
             _parse_k("1/0")
         with pytest.raises(ValueError):
             _parse_k("x")
+        # int() would read the first two as 3/4 and the third as 10.
+        for text in ["\u0663/4", "3/2^\u0662", "1_0", "3/4/5", "3/2^-1", "3 4", "4/"]:
+            with pytest.raises(ValueError, match="^--k must be c, c/m or c/2\\^d"):
+                _parse_k(text)
 
 
 class TestParser:

@@ -208,8 +208,9 @@ def test_to_cnf_takes_the_same_branch(phi, clauses) -> None:
         (SatCompareInstance.from_json, "instance"),
         (StateEqInstance.from_json, "state-eq"),
         (DyadicK.from_json, "dyadic"),
+        (ExactScalar.from_json, "scalar"),
     ],
-    ids=["diagram", "matrix", "instance", "state-eq", "dyadic"],
+    ids=["diagram", "matrix", "instance", "state-eq", "dyadic", "scalar"],
 )
 @pytest.mark.parametrize(
     "document, shown",
@@ -228,8 +229,20 @@ def test_json_readers_refuse_a_non_object(reader, name, document, shown) -> None
         (StateEqInstance.from_json, {}, "state-eq JSON is missing a required key: 'd1'"),
         (DyadicK.from_json, {}, "dyadic JSON is missing a required key: 'c'"),
         (DyadicK.from_json, {"c": 1}, "dyadic JSON is missing a required key: 'd'"),
+        (ExactMatrix.from_json, {"n_out": 1}, "matrix JSON is missing a required key: 'n_in'"),
+        (
+            ExactMatrix.from_json,
+            {"n_out": 0, "n_in": 0, "entries": [{"row": "", "col": ""}]},
+            "matrix entry JSON is missing a required key: 'val'",
+        ),
+        (
+            SatCompareInstance.from_json,
+            {"n": 1, "psi": "x1", "rho": "x1"},
+            "instance JSON is missing a required key: 'm'",
+        ),
+        (ExactScalar.from_json, {"a": "1", "b": "0"}, "scalar JSON is missing a required key: 'e'"),
     ],
-    ids=["state-eq", "dyadic-c", "dyadic-d"],
+    ids=["state-eq", "dyadic-c", "dyadic-d", "matrix", "matrix-entry", "instance", "scalar"],
 )
 def test_json_readers_name_a_missing_key(reader, document, message) -> None:
     with pytest.raises(ValueError) as caught:
@@ -253,3 +266,80 @@ def test_dyadic_reader_takes_only_integers(document, shown) -> None:
     with pytest.raises(ValueError) as caught:
         DyadicK.from_json(document)
     assert str(caught.value) == f"c and d must be integers, not {shown}"
+
+
+@pytest.mark.parametrize(
+    "fields, shown",
+    [
+        ({"a": 1.9}, "1.9 and '0'"),
+        ({"a": True}, "True and '0'"),
+        ({"a": "1_0"}, "'1_0' and '0'"),
+        ({"a": "\u0663"}, "'\u0663' and '0'"),
+        ({"a": " 1"}, "' 1' and '0'"),
+        ({"b": "+2"}, "'1' and '+2'"),
+        ({"b": "--2"}, "'1' and '--2'"),
+        ({"b": "-"}, "'1' and '-'"),
+        ({"b": None}, "'1' and None"),
+    ],
+    ids=[
+        "float", "bool", "underscore", "arabic-indic", "space", "plus", "two-minus", "minus",
+        "null",
+    ],
+)
+def test_scalar_reader_takes_only_decimal_integers(fields, shown) -> None:
+    # int() would read 1.9 as 1, True as 1, "1_0" as 10 and "\u0663" as 3.
+    with pytest.raises(ValueError) as caught:
+        ExactScalar.from_json({"a": "1", "b": "0", "e": 0, **fields})
+    assert str(caught.value) == f"a and b must be decimal integers, not {shown}"
+
+
+@pytest.mark.parametrize(
+    "e, shown",
+    [("3", "'3'"), (True, "True"), (3.0, "3.0"), (-1, "-1"), (None, "None")],
+    ids=["string", "bool", "float", "negative", "null"],
+)
+def test_scalar_reader_takes_only_a_natural_exponent(e, shown) -> None:
+    with pytest.raises(ValueError) as caught:
+        ExactScalar.from_json({"a": "1", "b": "0", "e": e})
+    assert str(caught.value) == f"e must be a non-negative integer, not {shown}"
+
+
+def test_scalar_reader_takes_integers_and_written_strings() -> None:
+    value = ExactScalar(-3, 5, 2)
+    assert ExactScalar.from_json(value.to_json()) == value
+    assert ExactScalar.from_json({"a": -3, "b": 5, "e": 2}) == value
+    assert ExactScalar.from_json({"a": "-06", "b": "10", "e": 3}) == value
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n_out": "1"}, "'n_out' must be a non-negative integer, got '1'"),
+        ({"n_out": True}, "'n_out' must be a non-negative integer, got True"),
+        ({"n_in": -1}, "'n_in' must be a non-negative integer, got -1"),
+        ({"n_in": 0.0}, "'n_in' must be a non-negative integer, got 0.0"),
+        ({"entries": {}}, "'entries' must be a JSON array, got {}"),
+        ({"entries": "ab"}, "'entries' must be a JSON array, got 'ab'"),
+        ({"entries": [1]}, "matrix entry JSON must be an object, got 1"),
+        (
+            {"entries": [{"row": 1, "col": "", "val": {}}]},
+            "row and col must be strings, got (1, '')",
+        ),
+        (
+            {"entries": [{"row": "1", "col": None, "val": {}}]},
+            "row and col must be strings, got ('1', None)",
+        ),
+        (
+            {"entries": [{"row": "1", "col": "", "val": [1]}]},
+            "scalar JSON must be an object, got [1]",
+        ),
+    ],
+    ids=[
+        "string-rows", "bool-rows", "negative-columns", "float-columns", "object-entries",
+        "string-entries", "int-entry", "int-row", "null-col", "list-value",
+    ],
+)
+def test_matrix_reader_checks_each_field(fields, message) -> None:
+    with pytest.raises(ValueError) as caught:
+        ExactMatrix.from_json({"n_out": 1, "n_in": 0, "entries": [], **fields})
+    assert str(caught.value) == message
